@@ -8,11 +8,9 @@
 //! complete: with an unbounded backtrack budget, exhausting the search space
 //! proves a fault combinationally untestable.
 //!
-//! The forward simulation here stays on the scalar single-pattern `V3`
-//! kernel regardless of `SimConfig::engine`: backtrace and the D-frontier
-//! inspect arbitrary interior nets, which the fused kernel leaves stale,
-//! and PODEM implies one candidate assignment at a time, so there is no
-//! pattern dimension for the wide kernel to fill.
+//! The forward simulation here runs on a single-pattern `V3` evaluator:
+//! PODEM implies one candidate assignment at a time, so there is no
+//! pattern dimension for the 64-slot word kernel to fill.
 
 use atspeed_circuit::{CompiledCircuit, Driver, NetId, Netlist};
 use atspeed_sim::fault::{Fault, FaultSite};

@@ -19,9 +19,7 @@ use std::sync::Mutex;
 
 use atspeed_circuit::{CompiledCircuit, Netlist};
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{
-    stats, CompiledSim, EngineKind, FusedSim, Overrides, Sequence, SimConfig, V3, W3,
-};
+use atspeed_sim::{stats, CompiledSim, Overrides, Sequence, SimConfig, V3, W3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,9 +78,6 @@ pub struct PropertyConfig {
     pub stale_bursts: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Evaluation engine for the incremental simulator (burst generation is
-    /// single-threaded; only `sim.engine` matters here).
-    pub sim: SimConfig,
 }
 
 impl Default for PropertyConfig {
@@ -92,7 +87,6 @@ impl Default for PropertyConfig {
             max_len: 1024,
             stale_bursts: 12,
             seed: 3,
-            sim: SimConfig::default(),
         }
     }
 }
@@ -109,12 +103,6 @@ pub struct IncrementalSim<'a> {
     groups: Vec<Group>,
     vals: Vec<W3>,
     total_detected: usize,
-    /// Present under [`EngineKind::WideFused`]: detection reads only PO
-    /// fan-in and flip-flop D nets, which are cone roots, so the fused
-    /// kernel's stale-interior contract is safe here. [`EngineKind::Wide`]
-    /// maps to scalar — the 64 word slots already hold faulty machines, so
-    /// there is no pattern dimension left to widen.
-    fused: Option<FusedSim<'a>>,
 }
 
 #[derive(Debug)]
@@ -193,17 +181,6 @@ impl<'a> IncrementalSim<'a> {
     /// Builds groups of up to 63 faulty machines over `targets`, all in the
     /// unknown initial state.
     pub fn new(nl: &'a Netlist, universe: &FaultUniverse, targets: &[FaultId]) -> Self {
-        Self::with_engine(nl, universe, targets, EngineKind::Scalar)
-    }
-
-    /// [`IncrementalSim::new`] with an explicit evaluation engine (see the
-    /// `fused` field for what each [`EngineKind`] means here).
-    pub fn with_engine(
-        nl: &'a Netlist,
-        universe: &FaultUniverse,
-        targets: &[FaultId],
-        engine: EngineKind,
-    ) -> Self {
         let groups = targets
             .chunks(63)
             .map(|chunk| {
@@ -230,8 +207,6 @@ impl<'a> IncrementalSim<'a> {
             groups,
             vals: vec![W3::ALL_X; nl.num_nets()],
             total_detected: 0,
-            fused: (engine == EngineKind::WideFused)
-                .then(|| FusedSim::new(nl.compiled(), nl.fused())),
         }
     }
 
@@ -268,10 +243,7 @@ impl<'a> IncrementalSim<'a> {
             let (po_mask, next) = {
                 let g = &self.groups[gi];
                 seed(cc, &mut self.vals, vector, &g.state);
-                match &self.fused {
-                    Some(f) => f.eval_with_slice(&mut self.vals, &g.ov),
-                    None => sim.eval_with_slice(&mut self.vals, &g.ov),
-                }
+                sim.eval_with_slice(&mut self.vals, &g.ov);
                 let po_mask = po_diff(cc, &self.vals, &self.groups[gi].ov);
                 let next: Vec<W3> = capture(cc, &self.vals, &self.groups[gi].ov);
                 (po_mask, next)
@@ -296,9 +268,8 @@ impl<'a> IncrementalSim<'a> {
     }
 
     /// [`IncrementalSim::score`] with caller-provided scratch: evaluation
-    /// rewrites every net read by scoring (all nets under the scalar
-    /// engine, sources and cone roots under the fused one) from the seeded
-    /// inputs, so any scratch of `num_nets` width gives the same score.
+    /// rewrites every net from the seeded inputs, so any scratch of
+    /// `num_nets` width gives the same score.
     /// Committing nothing and taking `&self`, this is shareable across
     /// scoring threads.
     pub fn score_in(&self, vals: &mut [W3], vector: &[V3], sample: usize) -> (usize, usize) {
@@ -316,10 +287,7 @@ impl<'a> IncrementalSim<'a> {
             }
             scored += 1;
             seed(cc, vals, vector, &g.state);
-            match &self.fused {
-                Some(f) => f.eval_with_slice(vals, &g.ov),
-                None => sim.eval_with_slice(vals, &g.ov),
-            }
+            sim.eval_with_slice(vals, &g.ov);
             let po_mask = po_diff(cc, vals, &g.ov);
             detections += (po_mask & g.active & !g.detected).count_ones() as usize;
             // Activity: faulty machines whose next state newly differs.
@@ -424,7 +392,7 @@ pub fn directed_t0(
 ) -> Sequence {
     let _sp = atspeed_trace::span("t0.directed");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut inc = IncrementalSim::with_engine(nl, universe, targets, cfg.sim.engine);
+    let mut inc = IncrementalSim::new(nl, universe, targets);
     let mut seq = Sequence::new();
     let mut plateau = 0usize;
     let steps = atspeed_trace::metrics::global().counter("tgen/directed_steps");
@@ -469,7 +437,7 @@ pub fn property_t0(
 ) -> Sequence {
     let _sp = atspeed_trace::span("t0.property");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut inc = IncrementalSim::with_engine(nl, universe, targets, cfg.sim.engine);
+    let mut inc = IncrementalSim::new(nl, universe, targets);
     let mut seq = Sequence::new();
     let mut stale = 0usize;
     let m = atspeed_trace::metrics::global();
@@ -559,33 +527,6 @@ mod tests {
         assert_eq!(inc.total_detected(), batch);
     }
 
-    /// The fused engine only guarantees PO fan-in and FF-D nets, which is
-    /// exactly what detection and scoring read — results must be identical.
-    #[test]
-    fn incremental_sim_engines_agree() {
-        let nl = s27();
-        let u = FaultUniverse::full(&nl);
-        let targets: Vec<FaultId> = u.representatives().to_vec();
-        let seq = random_t0(&nl, 60, 11);
-        for engine in EngineKind::ALL {
-            let mut scalar = IncrementalSim::new(&nl, &u, &targets);
-            let mut other = IncrementalSim::with_engine(&nl, &u, &targets, engine);
-            for t in 0..seq.len() {
-                assert_eq!(
-                    scalar.score(seq.vector(t), usize::MAX),
-                    other.score(seq.vector(t), usize::MAX),
-                    "{engine} score diverges at step {t}"
-                );
-                assert_eq!(
-                    scalar.apply(seq.vector(t)),
-                    other.apply(seq.vector(t)),
-                    "{engine} apply diverges at step {t}"
-                );
-            }
-            assert_eq!(scalar.detected_faults(), other.detected_faults());
-        }
-    }
-
     #[test]
     fn directed_beats_or_matches_random_at_same_length() {
         let nl = s27();
@@ -615,7 +556,6 @@ mod tests {
             max_len: 128,
             stale_bursts: 5,
             seed: 13,
-            ..PropertyConfig::default()
         };
         let seq = property_t0(&nl, &u, &targets, &cfg);
         assert!(seq.len() <= 128);

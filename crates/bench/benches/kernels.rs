@@ -1,11 +1,10 @@
-//! Kernel micro-benchmarks: legacy pointer walker vs compiled full pass vs
-//! event-driven delta path vs the SIMD-widened (`W3x4`) and cone-fused
-//! kernels, over the ISCAS-89 circuits of the catalog.
+//! Kernel micro-benchmarks: the legacy pointer walker vs the compiled full
+//! pass, over the ISCAS-89 circuits of the catalog.
 //!
 //! Besides the human-readable criterion output, the bench writes a
 //! machine-readable JSON summary (per circuit, per kernel: rounds, wall
-//! time, gate evaluations, events skipped, gate-evals/sec) so CI can
-//! archive runs and compare kernels across commits:
+//! time, gate evaluations, gate-evals/sec) so CI can archive runs and
+//! compare kernels across commits:
 //!
 //! - `KERNELS_JSON` — output path (default `target/kernels.json`);
 //! - `KERNELS_CIRCUITS` — comma-separated circuit filter (default: every
@@ -13,22 +12,16 @@
 //!
 //! The workload is a sequence of reseed-and-evaluate rounds: round 0
 //! assigns every source net a random 3-valued word, later rounds reseed a
-//! small random subset — the regime the event-driven path is built for.
-//! All kernels compute identical values on the nets they guarantee (the
-//! differential tests in `atspeed-sim` prove it); only the traversal
-//! strategy and pass width differ. Gate evaluations are counted in
-//! gate-words, so a wide pass reports `LANES` evaluations per gate and
-//! `gate_evals_per_sec` stays comparable across widths.
+//! small random subset, as consecutive cycles of a sequential simulation
+//! do. Both kernels compute identical values (the differential tests in
+//! `atspeed-sim` prove it); only the traversal differs.
 
 use atspeed_atpg::compact::{omit_vectors, OmissionConfig};
 use atspeed_atpg::random_t0;
 use atspeed_circuit::catalog::{self, BenchmarkInfo, Suite};
 use atspeed_circuit::{NetId, Netlist};
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{
-    stats, CombSim, CompiledSim, FusedSim, SeqFaultSim, SimConfig, SimScratch, W3x4,
-    FUSED_SLICE_PAD, V3, W3,
-};
+use atspeed_sim::{stats, CombSim, CompiledSim, SeqFaultSim, SimConfig, V3, W3};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
@@ -72,7 +65,7 @@ fn random_w3(next: &mut impl FnMut() -> u64) -> W3 {
 }
 
 /// Pre-generated reseed rounds: round 0 assigns every source, later rounds
-/// a ~1/8 subset, so the delta path has real events to skip around.
+/// a ~1/8 subset.
 struct Workload {
     nl: Netlist,
     rounds: Vec<Vec<(NetId, W3)>>,
@@ -118,72 +111,19 @@ fn run_compiled(w: &Workload, sim: &CompiledSim<'_>, vals: &mut [W3]) {
     black_box(vals.first().copied());
 }
 
-/// One timed sweep with the event-driven delta path: full pass on round 0,
-/// fanout-cone re-evaluation afterwards.
-fn run_event(w: &Workload, sim: &CompiledSim<'_>, scratch: &mut SimScratch) {
-    for (r, round) in w.rounds.iter().enumerate() {
-        for &(net, val) in round {
-            scratch.set_source(net, val);
-        }
-        if r == 0 {
-            sim.eval(scratch);
-        } else {
-            sim.eval_delta(scratch);
-        }
-    }
-    black_box(scratch.value(NetId::from_index(0)));
-}
-
-/// One timed sweep with wide (`W3x4`) compiled full passes: each round's
-/// reseed value is splat across all lanes, so one pass does `LANES` words
-/// of gate work.
-fn run_wide(w: &Workload, sim: &CompiledSim<'_>, wvals: &mut [W3x4]) {
-    for round in &w.rounds {
-        for &(net, val) in round {
-            wvals[net.index()] = W3x4::splat(val);
-        }
-        sim.eval_slice_wide(wvals);
-    }
-    black_box(wvals.first().copied());
-}
-
-/// One timed sweep with scalar cone-fused full passes.
-fn run_fused(w: &Workload, sim: &FusedSim<'_>, vals: &mut [W3]) {
-    for round in &w.rounds {
-        for &(net, val) in round {
-            vals[net.index()] = val;
-        }
-        sim.eval_slice(vals);
-    }
-    black_box(vals.first().copied());
-}
-
-/// One timed sweep with wide cone-fused full passes — the fastest engine,
-/// and the one CI gates against the scalar compiled baseline.
-fn run_wide_fused(w: &Workload, sim: &FusedSim<'_>, wvals: &mut [W3x4]) {
-    for round in &w.rounds {
-        for &(net, val) in round {
-            wvals[net.index()] = W3x4::splat(val);
-        }
-        sim.eval_slice_wide(wvals);
-    }
-    black_box(wvals.first().copied());
-}
-
 struct KernelRow {
     kernel: &'static str,
     wall_s: f64,
     gate_evals: u64,
-    events_skipped: u64,
 }
 
 /// Timed measurement windows per kernel (window 0 is an untimed warm-up).
 /// Windows are interleaved across kernels — every kernel gets one window,
 /// then every kernel gets the next — and each kernel keeps its fastest
-/// window. The JSON numbers feed a CI throughput-*ratio* gate, so what
-/// matters is that the best windows of two kernels land in the same quiet
-/// phases of a noisy shared runner, which interleaving makes likely and
-/// sequential per-kernel measurement does not.
+/// window. Comparing kernels means comparing throughputs measured in one
+/// run, so what matters is that the best windows of both kernels land in
+/// the same quiet phases of a noisy shared runner, which interleaving
+/// makes likely and sequential per-kernel measurement does not.
 const MEASURE_WINDOWS: usize = 5;
 
 fn measure_circuit(info: &BenchmarkInfo, num_rounds: usize, repeats: usize) -> Vec<KernelRow> {
@@ -194,11 +134,6 @@ fn measure_circuit(info: &BenchmarkInfo, num_rounds: usize, repeats: usize) -> V
     let mut lvals = vec![W3::ALL_X; w.nl.num_nets()];
     let sim = CompiledSim::new(cc);
     let mut cvals = vec![W3::ALL_X; w.nl.num_nets()];
-    let mut scratch = SimScratch::new(cc);
-    let mut wvals = vec![W3x4::ALL_X; w.nl.num_nets()];
-    let fsim = FusedSim::new(cc, w.nl.fused());
-    let mut fvals = vec![W3::ALL_X; w.nl.num_nets() + FUSED_SLICE_PAD];
-    let mut fwvals = vec![W3x4::ALL_X; w.nl.num_nets() + FUSED_SLICE_PAD];
 
     type Runner<'a> = (&'static str, Box<dyn FnMut() + 'a>);
     let mut runners: Vec<Runner<'_>> = vec![
@@ -207,13 +142,6 @@ fn measure_circuit(info: &BenchmarkInfo, num_rounds: usize, repeats: usize) -> V
             Box::new(|| run_legacy(&w, &mut legacy, &mut lvals)),
         ),
         ("compiled", Box::new(|| run_compiled(&w, &sim, &mut cvals))),
-        ("event", Box::new(|| run_event(&w, &sim, &mut scratch))),
-        ("wide", Box::new(|| run_wide(&w, &sim, &mut wvals))),
-        ("fused", Box::new(|| run_fused(&w, &fsim, &mut fvals))),
-        (
-            "wide_fused",
-            Box::new(|| run_wide_fused(&w, &fsim, &mut fwvals)),
-        ),
     ];
 
     let mut rows: Vec<KernelRow> = Vec::new();
@@ -233,7 +161,6 @@ fn measure_circuit(info: &BenchmarkInfo, num_rounds: usize, repeats: usize) -> V
                     kernel,
                     wall_s: f64::INFINITY,
                     gate_evals: t.gate_evals,
-                    events_skipped: t.events_skipped,
                 });
             } else if wall < rows[k].wall_s {
                 rows[k].wall_s = wall;
@@ -400,11 +327,10 @@ fn emit_json(
             };
             out.push_str(&format!(
                 "      {{\"kernel\": \"{}\", \"wall_us\": {}, \"gate_evals\": {}, \
-                 \"events_skipped\": {}, \"gate_evals_per_sec\": {:.1}}}{}\n",
+                 \"gate_evals_per_sec\": {:.1}}}{}\n",
                 r.kernel,
                 (r.wall_s * 1e6) as u64,
                 r.gate_evals,
-                r.events_skipped,
                 evals_per_sec,
                 if j + 1 == rows.len() { "" } else { "," }
             ));
@@ -487,17 +413,6 @@ fn bench_kernels(c: &mut Criterion) {
         let sim = CompiledSim::new(cc);
         let mut vals = vec![W3::ALL_X; w.nl.num_nets()];
         g.bench_function("compiled", |b| b.iter(|| run_compiled(&w, &sim, &mut vals)));
-        let mut scratch = SimScratch::new(cc);
-        g.bench_function("event", |b| b.iter(|| run_event(&w, &sim, &mut scratch)));
-        let mut wvals = vec![W3x4::ALL_X; w.nl.num_nets()];
-        g.bench_function("wide", |b| b.iter(|| run_wide(&w, &sim, &mut wvals)));
-        let fsim = FusedSim::new(cc, w.nl.fused());
-        let mut vals = vec![W3::ALL_X; w.nl.num_nets() + FUSED_SLICE_PAD];
-        g.bench_function("fused", |b| b.iter(|| run_fused(&w, &fsim, &mut vals)));
-        let mut wvals = vec![W3x4::ALL_X; w.nl.num_nets() + FUSED_SLICE_PAD];
-        g.bench_function("wide_fused", |b| {
-            b.iter(|| run_wide_fused(&w, &fsim, &mut wvals))
-        });
         g.finish();
 
         summary.push((info, measure_circuit(&info, rounds, repeats)));

@@ -7,7 +7,6 @@
 //! ```text
 //! stress [--gates N] [--ffs N] [--faults N] [--t0-len N] [--seed N]
 //!        [--attempts N] [--mem-words N] [--max-rss-mb N] [--sim-threads N]
-//!        [--engine scalar|wide|wide+fused]
 //!        [--trace FILE] [--metrics-json FILE] [--profile FILE]
 //!        [--profile-hz N] [--history FILE] [--log LEVEL]
 //! ```
@@ -44,7 +43,7 @@ use atspeed_core::phase3::top_up_with;
 use atspeed_core::phase4::{combine_tests_cfg, CombineConfig};
 use atspeed_core::test::{ScanTest, TestSet};
 use atspeed_sim::fault::{FaultId, FaultUniverse};
-use atspeed_sim::{stats, CombTest, EngineKind, SimConfig, V3};
+use atspeed_sim::{stats, CombTest, SimConfig, V3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,7 +57,6 @@ struct Args {
     mem_words: usize,
     max_rss_mb: Option<u64>,
     sim_threads: Option<usize>,
-    engine: Option<EngineKind>,
     telemetry: TelemetryArgs,
 }
 
@@ -73,7 +71,6 @@ fn parse_args() -> Result<Args, String> {
         mem_words: 4,
         max_rss_mb: None,
         sim_threads: None,
-        engine: None,
         telemetry: TelemetryArgs::default(),
     };
     let mut it = std::env::args().skip(1);
@@ -95,18 +92,11 @@ fn parse_args() -> Result<Args, String> {
             "--mem-words" => args.mem_words = num("--mem-words", &mut it)?,
             "--max-rss-mb" => args.max_rss_mb = Some(num("--max-rss-mb", &mut it)? as u64),
             "--sim-threads" => args.sim_threads = Some(num("--sim-threads", &mut it)?),
-            "--engine" => {
-                let v = it
-                    .next()
-                    .ok_or("--engine needs scalar|wide|wide+fused".to_owned())?;
-                args.engine = Some(v.parse::<EngineKind>()?);
-            }
             "--help" | "-h" => {
                 return Err(
                     "usage: stress [--gates N] [--ffs N] [--faults N] [--t0-len N] [--seed N] \
                      [--profile FILE] [--profile-hz N] [--history FILE] \
                      [--attempts N] [--mem-words N] [--max-rss-mb N] [--sim-threads N] \
-                     [--engine scalar|wide|wide+fused] \
                      [--trace FILE] [--metrics-json FILE] [--log LEVEL]"
                         .to_owned(),
                 )
@@ -147,13 +137,10 @@ fn sample_faults(universe: &FaultUniverse, n: usize) -> Vec<FaultId> {
 }
 
 fn run(args: &Args) -> Result<(), String> {
-    let mut sim = match args.sim_threads {
+    let sim = match args.sim_threads {
         Some(n) => SimConfig::with_threads(n),
         None => SimConfig::from_env(),
     };
-    if let Some(engine) = args.engine {
-        sim.engine = engine;
-    }
     let start = Instant::now();
     let registry = atspeed_trace::metrics::global();
 

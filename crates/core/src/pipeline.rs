@@ -659,13 +659,13 @@ mod tests {
     fn canonical_lines_track_results_not_execution_knobs() {
         let base = PipelineConfig::default();
 
-        // Execution knobs (threads, engine, chunking) never change results,
-        // so they must not change the canonical rendering either.
+        // Execution knobs (threads, chunking) never change results, so they
+        // must not change the canonical rendering either.
         let mut threaded = base;
         threaded.sim = SimConfig {
             threads: 8,
             chunk_size: 3,
-            engine: atspeed_sim::EngineKind::WideFused,
+            ..SimConfig::default()
         };
         assert_eq!(base.canonical_lines(), threaded.canonical_lines());
 

@@ -7,7 +7,7 @@
 //! atspeedctl submit   [--addr HOST:PORT] (--circuit NAME | --bench FILE)
 //!                     [--name NAME] [--seed N] [--t0 directed|property|random]
 //!                     [--t0-len N] [--phase4 0|1] [--verify 0|1]
-//!                     [--threads N] [--engine E] [--out FILE]
+//!                     [--threads N] [--out FILE]
 //! atspeedctl stats    [--addr HOST:PORT]
 //! atspeedctl shutdown [--addr HOST:PORT]
 //! ```
@@ -25,7 +25,6 @@ use std::process::ExitCode;
 use atspeed_circuit::{bench_fmt, catalog};
 use atspeed_core::{PipelineConfig, T0Source};
 use atspeed_serve::Client;
-use atspeed_sim::EngineKind;
 
 const DEFAULT_ADDR: &str = "127.0.0.1:4715";
 
@@ -33,7 +32,7 @@ fn usage() -> String {
     "usage: atspeedctl <ping|submit|stats|shutdown> [--addr HOST:PORT] \
      [submit: (--circuit NAME | --bench FILE) [--name NAME] [--seed N] \
      [--t0 directed|property|random] [--t0-len N] [--phase4 0|1] \
-     [--verify 0|1] [--threads N] [--engine E] [--out FILE]]"
+     [--verify 0|1] [--threads N] [--out FILE]]"
         .to_owned()
 }
 
@@ -86,9 +85,6 @@ fn run() -> Result<(), String> {
                 let v = value("a count")?;
                 args.config.sim.threads =
                     v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
-            }
-            "--engine" => {
-                args.config.sim.engine = value("a kind")?.parse::<EngineKind>()?;
             }
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument `{other}`")),

@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! serve [--addr HOST:PORT] [--workers N] [--job-threads N] [--engine E]
+//! serve [--addr HOST:PORT] [--workers N] [--job-threads N]
 //!       [--cache-bytes N] [--cache-circuits N] [--job-history FILE]
 //!       [--job-trace-dir DIR]
 //!       [--trace FILE] [--metrics-json FILE] [--profile FILE]
@@ -12,8 +12,8 @@
 //!
 //! Binds (default `127.0.0.1:4715`), prints `listening on <addr>`, and
 //! serves until a client sends a `Shutdown` frame (`atspeedctl
-//! shutdown`). `--job-threads`/`--engine` set the default `SimConfig`
-//! for jobs that don't override them; `--job-history` appends one
+//! shutdown`). `--job-threads` sets the default `SimConfig` thread count
+//! for jobs that don't override it; `--job-history` appends one
 //! run-history record per computed job; `--job-trace-dir` writes one
 //! Chrome trace per computed job. The shared `--trace`/`--history`/…
 //! telemetry flags cover the server process itself.
@@ -23,7 +23,7 @@ use std::process::ExitCode;
 
 use atspeed_bench::telemetry::TelemetryArgs;
 use atspeed_serve::{ServeConfig, Server};
-use atspeed_sim::{EngineKind, SimConfig};
+use atspeed_sim::SimConfig;
 
 struct Args {
     serve: ServeConfig,
@@ -63,10 +63,6 @@ fn parse_args() -> Result<Args, String> {
                     .filter(|&t: &usize| t > 0)
                     .ok_or(format!("bad thread count `{v}`"))?;
             }
-            "--engine" => {
-                let v = it.next().ok_or("--engine needs a kind")?;
-                args.serve.job_sim.engine = v.parse::<EngineKind>()?;
-            }
             "--cache-bytes" => {
                 let v = it.next().ok_or("--cache-bytes needs a byte count")?;
                 args.serve.budget.max_result_bytes =
@@ -90,7 +86,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: serve [--addr HOST:PORT] [--workers N] [--job-threads N] \
-                     [--engine E] [--cache-bytes N] [--cache-circuits N] \
+                     [--cache-bytes N] [--cache-circuits N] \
                      [--job-history FILE] [--job-trace-dir DIR] [--trace FILE] \
                      [--metrics-json FILE] [--profile FILE] [--profile-hz N] \
                      [--history FILE] [--log LEVEL]"
@@ -111,7 +107,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Honor SIM_THREADS/SIM_ENGINE as the baseline (with the strict
+    // Honor SIM_THREADS as the baseline (with the strict
     // parser: a typo should stop the server at startup, not silently run
     // every job on the slow serial engine).
     match SimConfig::try_from_env() {

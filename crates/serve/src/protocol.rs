@@ -23,7 +23,6 @@
 use std::io::{self, Read, Write};
 
 use atspeed_core::{PipelineConfig, PipelineResult, T0Source};
-use atspeed_sim::EngineKind;
 use atspeed_verify::encode_stimuli;
 
 /// Frame magic; rejects HTTP requests and random port scans immediately.
@@ -215,10 +214,9 @@ impl SubmitRequest {
             T0Source::Random { len } => ("random", len),
         };
         format!(
-            "engine = {}\nmax_failed_pairs = {}\nname = {}\nphase4 = {}\n\
+            "max_failed_pairs = {}\nname = {}\nphase4 = {}\n\
              profile_state_words = {}\nseed = {}\nt0 = {}\nt0_len = {}\n\
              threads = {}\nverify = {}\n\n{}",
-            self.config.sim.engine,
             self.config.memory.max_failed_pairs,
             self.name,
             u8::from(self.config.phase4),
@@ -305,11 +303,6 @@ impl SubmitRequest {
                         return Err(bad(format!("bad threads `{value}` (expected 1..=256)")));
                     }
                     req.config.sim.threads = t;
-                }
-                "engine" => {
-                    req.config.sim.engine = value
-                        .parse::<EngineKind>()
-                        .map_err(|e| bad(format!("bad engine: {e}")))?;
                 }
                 other => return Err(bad(format!("unknown config key `{other}`"))),
             }
@@ -547,11 +540,7 @@ mod tests {
                     profile_state_words: 64,
                     max_failed_pairs: 1000,
                 },
-                sim: SimConfig {
-                    threads: 4,
-                    chunk_size: 0,
-                    engine: EngineKind::Wide,
-                },
+                sim: SimConfig::with_threads(4),
                 ..PipelineConfig::default()
             },
             bench: "INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n".to_owned(),
@@ -564,7 +553,9 @@ mod tests {
             "seed = banana\n\nINPUT(a)\n",
             "threads = 0\n\nINPUT(a)\n",
             "threads = 9999\n\nINPUT(a)\n",
+            // There is one kernel, so `engine` is an unknown key.
             "engine = widefused\n\nINPUT(a)\n",
+            "engine = scalar\n\nINPUT(a)\n",
             "t0 = psychic\n\nINPUT(a)\n",
             "phase4 = maybe\n\nINPUT(a)\n",
             "seed = 1\n",          // no blank line, no netlist

@@ -54,7 +54,7 @@ pub struct ServeConfig {
     /// Job worker threads (how many jobs run concurrently).
     pub workers: usize,
     /// Default simulation config for jobs that don't override
-    /// `threads`/`engine` in their submission.
+    /// `threads` in their submission.
     pub job_sim: SimConfig,
     /// Cache capacity bounds.
     pub budget: CacheBudget,
@@ -169,7 +169,13 @@ impl Server {
 }
 
 fn request_stop(shared: &Shared) {
-    shared.stop.store(true, Ordering::SeqCst);
+    {
+        // Set the flag under the queue lock: a worker between its `stop`
+        // check and its `wait` holds this lock, so the notify below cannot
+        // fall into that gap and leave the worker asleep forever.
+        let _q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        shared.stop.store(true, Ordering::SeqCst);
+    }
     shared.queue_cv.notify_all();
     // Unblock the acceptor's blocking accept() with a throwaway connect.
     let _ = TcpStream::connect(shared.addr);

@@ -152,27 +152,6 @@ impl Overrides {
     pub(crate) fn is_gate_flagged(&self, gate: GateId) -> bool {
         self.gate_flagged[gate.index()]
     }
-
-    /// The raw stem force masks for `net` (`(force-to-0, force-to-1)`), so
-    /// width-generic kernels can apply the same slot masks to every lane.
-    #[inline]
-    pub(crate) fn stem_masks(&self, net: NetId) -> (u64, u64) {
-        let i = net.index();
-        (self.stem_force0[i], self.stem_force1[i])
-    }
-
-    /// Whether `net` carries a stem override.
-    #[inline]
-    pub(crate) fn is_stem_overridden(&self, net: NetId) -> bool {
-        let i = net.index();
-        self.stem_force0[i] != 0 || self.stem_force1[i] != 0
-    }
-
-    /// The raw gate-pin override list (`(gate, pin, stuck, mask)`).
-    #[inline]
-    pub(crate) fn gate_pin_list(&self) -> &[(GateId, u8, bool, u64)] {
-        &self.gate_pins
-    }
 }
 
 /// Evaluates the combinational core of a netlist over packed values.

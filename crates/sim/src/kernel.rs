@@ -1,332 +1,31 @@
-//! The compiled simulation kernel: levelized and event-driven evaluation
-//! over [`CompiledCircuit`] with caller-owned, reusable scratch state.
+//! The compiled simulation kernel: one levelized full pass over
+//! [`CompiledCircuit`], fault-free or with fault-injection overrides.
 //!
 //! [`CompiledSim`] is the hot-path counterpart of the legacy
 //! [`CombSim`](crate::comb::CombSim) walker. It indexes the flat CSR arrays
 //! of a [`CompiledCircuit`] — no per-gate pointer chase, no per-call input
 //! buffer — and folds each gate's function directly over its pin span.
 //!
-//! All mutable per-simulation state (the net value array, the event-queue
-//! level buckets, the in-queue flags) lives in a [`SimScratch`] that the
-//! caller owns and recycles across calls, so steady-state evaluation
-//! performs no allocation at all. Engines that simulate many related
-//! passes (sequential fault simulation, incremental test generation) use
-//! the *event-driven* entry points ([`CompiledSim::eval_delta`],
-//! [`CompiledSim::eval_delta_with`]): after seeding source nets through
-//! [`SimScratch::set_source`], only the fanout cone of the nets that
-//! actually changed is re-evaluated, and the gates skipped are reported to
-//! [`stats`](crate::stats) as *events skipped*.
+//! The caller owns the net value array (`Vec<W3>`, one 64-slot word per
+//! net) and recycles it across calls, so steady-state evaluation performs
+//! no allocation at all. Every pass evaluates every gate: on the
+//! workloads this workspace runs, a plain full pass beats event-driven
+//! re-evaluation of the changed cone end to end (see DESIGN.md), so the
+//! full pass is the only traversal.
 //!
-//! # Pattern widths
-//!
-//! Every pass exists at two pattern widths, sharing one width-generic core
-//! (the private `KernelWord` trait):
-//!
-//! - **scalar** — one [`W3`] word (64 slots) per net, the historical
-//!   layout ([`CompiledSim::eval`] and friends);
-//! - **wide** — one [`W3x4`] block ([`LANES`] × 64 = 256 slots) per net
-//!   ([`CompiledSim::eval_wide`] and friends), held in a separate
-//!   [`SimScratch`] array sized on demand by [`SimScratch::ensure_wide`].
-//!
-//! The two widths share the change-tracking machinery (it is net-granular,
-//! not width-granular), so a scratch must not interleave scalar and wide
-//! *delta* passes without a full pass of the new width in between.
-//!
-//! Throughput counters are in **gate-word** units — one original gate
-//! advanced by one 64-slot word — so a wide pass over `G` gates credits
-//! `G × LANES` gate evaluations and per-pass accounting satisfies
-//! `evals + skipped == num_gates × words` at every width (asserted in
-//! debug builds). In debug builds every wide pass additionally validates
-//! the dual-rail invariant (`zero & one == 0`) over the whole net array.
+//! Throughput counters are in gate-evaluation units: one gate advanced by
+//! one 64-slot word, so a pass credits `num_gates` to
+//! [`stats`](crate::stats).
 
-use atspeed_circuit::{CompiledCircuit, GateId, GateKind, NetId};
+use atspeed_circuit::{CompiledCircuit, GateId, GateKind};
 
 use crate::comb::Overrides;
-use crate::logic::{W3x4, LANES, W3};
-
-/// Reusable per-simulation mutable state for [`CompiledSim`].
-///
-/// Holds the net value array plus the event-propagation machinery (changed
-/// source list, level buckets, in-queue flags). Create one per simulation
-/// context — e.g. one per worker thread — and recycle it across calls;
-/// nothing is reallocated after construction.
-///
-/// The wide value array (`W3x4` per net) is only allocated when a wide
-/// entry point is used: construct with [`SimScratch::new_wide`] or call
-/// [`SimScratch::ensure_wide`] before the first [`SimScratch::set_source_wide`].
-#[derive(Debug, Clone)]
-pub struct SimScratch {
-    pub(crate) vals: Vec<W3>,
-    // Wide (LANES × 64 slot) values, empty until `ensure_wide`.
-    pub(crate) wvals: Vec<W3x4>,
-    // Source nets written since the last eval, for the delta path.
-    pub(crate) changed: Vec<NetId>,
-    pub(crate) dirty: Vec<bool>,
-    // Event queue: gates pending re-evaluation, bucketed by level. Stored
-    // as intrusive singly-linked lists — `bucket_head[level]` chains
-    // through `next_in_bucket[gate]` (sentinel `u32::MAX`) — so the
-    // retained footprint is O(levels + gates) flat words instead of one
-    // growable `Vec` per level (worst-case O(levels × gates) capacity on
-    // deep 100k-gate circuits). Push/pop at the head reproduces the old
-    // per-level LIFO order exactly.
-    bucket_head: Vec<u32>,
-    next_in_bucket: Vec<u32>,
-    in_queue: Vec<bool>,
-    queued: Vec<GateId>,
-}
-
-const NO_GATE: u32 = u32::MAX;
-
-impl SimScratch {
-    /// Creates scratch state sized for `cc`, with every net at X. The
-    /// value arrays carry [`FUSED_SLICE_PAD`](crate::fused::FUSED_SLICE_PAD)
-    /// extra slots past the net count — interior-result scratch for the
-    /// fused kernel's branch-free full pass; net-indexed access never
-    /// sees them.
-    pub fn new(cc: &CompiledCircuit) -> Self {
-        SimScratch {
-            vals: vec![W3::ALL_X; cc.num_nets() + crate::fused::FUSED_SLICE_PAD],
-            wvals: Vec::new(),
-            changed: Vec::new(),
-            dirty: vec![false; cc.num_nets()],
-            bucket_head: vec![NO_GATE; cc.max_level() as usize + 1],
-            next_in_bucket: vec![NO_GATE; cc.num_gates()],
-            in_queue: vec![false; cc.num_gates()],
-            queued: Vec::new(),
-        }
-    }
-
-    /// Creates scratch state with the wide value array pre-allocated.
-    pub fn new_wide(cc: &CompiledCircuit) -> Self {
-        let mut s = SimScratch::new(cc);
-        s.ensure_wide(cc);
-        s
-    }
-
-    /// Allocates the wide value array (every net at X) if not already
-    /// present. Scalar-only callers never pay for it.
-    pub fn ensure_wide(&mut self, cc: &CompiledCircuit) {
-        let want = cc.num_nets() + crate::fused::FUSED_SLICE_PAD;
-        if self.wvals.len() < want {
-            self.wvals.resize(want, W3x4::ALL_X);
-        }
-    }
-
-    /// The current net values, indexed by [`NetId`]. The slice runs a few
-    /// slots past the net count (fused-kernel scratch; see
-    /// [`SimScratch::new`]).
-    #[inline]
-    pub fn values(&self) -> &[W3] {
-        &self.vals
-    }
-
-    /// The current value of one net.
-    #[inline]
-    pub fn value(&self, net: NetId) -> W3 {
-        self.vals[net.index()]
-    }
-
-    /// The current wide net values, indexed by [`NetId`] (empty before the
-    /// first wide use).
-    #[inline]
-    pub fn values_wide(&self) -> &[W3x4] {
-        &self.wvals
-    }
-
-    /// The current wide value of one net.
-    #[inline]
-    pub fn value_wide(&self, net: NetId) -> W3x4 {
-        self.wvals[net.index()]
-    }
-
-    /// Seeds a source net (primary input or flip-flop output), recording a
-    /// change event when the value actually differs so a following
-    /// [`CompiledSim::eval_delta`] re-evaluates only the affected cone.
-    #[inline]
-    pub fn set_source(&mut self, net: NetId, w: W3) {
-        let i = net.index();
-        if self.vals[i] != w {
-            self.vals[i] = w;
-            if !self.dirty[i] {
-                self.dirty[i] = true;
-                self.changed.push(net);
-            }
-        }
-    }
-
-    /// Seeds a source net at wide width (see [`SimScratch::set_source`]).
-    ///
-    /// The change list is shared with the scalar width, so scalar and wide
-    /// delta passes must not be interleaved on one scratch without a full
-    /// pass of the new width in between.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wide array was never allocated
-    /// ([`SimScratch::ensure_wide`]).
-    #[inline]
-    pub fn set_source_wide(&mut self, net: NetId, w: W3x4) {
-        let i = net.index();
-        if self.wvals[i] != w {
-            self.wvals[i] = w;
-            if !self.dirty[i] {
-                self.dirty[i] = true;
-                self.changed.push(net);
-            }
-        }
-    }
-
-    /// Writes a net value directly, without change tracking. After calling
-    /// this, the next evaluation must be a full pass ([`CompiledSim::eval`]
-    /// or [`CompiledSim::eval_with`]); the delta path would miss the edit.
-    #[inline]
-    pub fn set_untracked(&mut self, net: NetId, w: W3) {
-        self.vals[net.index()] = w;
-    }
-
-    /// Resets every net to `w` (typically [`W3::ALL_X`]). The next
-    /// evaluation must be a full pass.
-    pub fn fill(&mut self, w: W3) {
-        self.vals.fill(w);
-        self.clear_events();
-    }
-
-    /// Returns the first net whose stored value (scalar or wide) violates
-    /// the dual-rail invariant `zero & one == 0`, or `None` when every net
-    /// is consistent. Wide and fused passes run this automatically in
-    /// debug builds; release-mode harnesses (the differential fuzzer) call
-    /// it explicitly.
-    pub fn check_dual_rail(&self) -> Option<NetId> {
-        // `dirty` is sized exactly to the net count; the value arrays run
-        // `FUSED_SLICE_PAD` longer (fused-kernel scratch, not nets).
-        let nets = self.dirty.len();
-        for (i, v) in self.vals.iter().take(nets).enumerate() {
-            if !v.is_consistent() {
-                return Some(NetId::from_index(i));
-            }
-        }
-        for (i, v) in self.wvals.iter().take(nets).enumerate() {
-            if !v.is_consistent() {
-                return Some(NetId::from_index(i));
-            }
-        }
-        None
-    }
-
-    pub(crate) fn clear_events(&mut self) {
-        for net in self.changed.drain(..) {
-            self.dirty[net.index()] = false;
-        }
-    }
-}
-
-/// One simulation value word: the width-generic hooks the pass cores fold
-/// over. Implemented for [`W3`] (64 slots) and [`W3x4`] (`LANES` × 64
-/// slots); fault-override slot masks broadcast lane-wise at every width.
-pub(crate) trait KernelWord: Copy + PartialEq {
-    /// 64-slot words per value of this width (the gate-word multiplier).
-    const WORDS: u64;
-    /// The all-X (no rail set) value, used to initialize register files.
-    const ALL_X: Self;
-    /// 3-valued AND.
-    fn and(self, rhs: Self) -> Self;
-    /// 3-valued OR.
-    fn or(self, rhs: Self) -> Self;
-    /// 3-valued XOR.
-    fn xor(self, rhs: Self) -> Self;
-    /// 3-valued complement.
-    fn not(self) -> Self;
-    /// Forces slot-mask `mask` (of every lane) to the binary value `v`.
-    fn force(self, v: bool, mask: u64) -> Self;
-    /// Dual-rail invariant check.
-    fn is_consistent(self) -> bool;
-}
-
-impl KernelWord for W3 {
-    const WORDS: u64 = 1;
-    const ALL_X: Self = W3::ALL_X;
-    #[inline]
-    fn and(self, rhs: Self) -> Self {
-        W3::and(self, rhs)
-    }
-    #[inline]
-    fn or(self, rhs: Self) -> Self {
-        W3::or(self, rhs)
-    }
-    #[inline]
-    fn xor(self, rhs: Self) -> Self {
-        W3::xor(self, rhs)
-    }
-    #[inline]
-    fn not(self) -> Self {
-        W3::not(self)
-    }
-    #[inline]
-    fn force(self, v: bool, mask: u64) -> Self {
-        W3::force(self, v, mask)
-    }
-    #[inline]
-    fn is_consistent(self) -> bool {
-        W3::is_consistent(self)
-    }
-}
-
-impl KernelWord for W3x4 {
-    const WORDS: u64 = LANES as u64;
-    const ALL_X: Self = W3x4::ALL_X;
-    #[inline]
-    fn and(self, rhs: Self) -> Self {
-        W3x4::and(self, rhs)
-    }
-    #[inline]
-    fn or(self, rhs: Self) -> Self {
-        W3x4::or(self, rhs)
-    }
-    #[inline]
-    fn xor(self, rhs: Self) -> Self {
-        W3x4::xor(self, rhs)
-    }
-    #[inline]
-    fn not(self) -> Self {
-        W3x4::not(self)
-    }
-    #[inline]
-    fn force(self, v: bool, mask: u64) -> Self {
-        W3x4::force(self, v, mask)
-    }
-    #[inline]
-    fn is_consistent(self) -> bool {
-        W3x4::is_consistent(self)
-    }
-}
-
-/// Applies the stem override for `net` at any width (masks broadcast).
-#[inline]
-pub(crate) fn apply_stem_g<Wd: KernelWord>(ov: &Overrides, net: NetId, v: Wd) -> Wd {
-    let (f0, f1) = ov.stem_masks(net);
-    if f0 == 0 && f1 == 0 {
-        v
-    } else {
-        v.force(false, f0).force(true, f1)
-    }
-}
-
-/// Applies pin overrides for input `pin` of `gate` at any width.
-#[inline]
-pub(crate) fn apply_gate_pin_g<Wd: KernelWord>(ov: &Overrides, gate: GateId, pin: u8, v: Wd) -> Wd {
-    let mut out = v;
-    for &(g, p, stuck, mask) in ov.gate_pin_list() {
-        if g == gate && p == pin {
-            out = out.force(stuck, mask);
-        }
-    }
-    out
-}
+use crate::logic::W3;
 
 /// Folds `kind` over two operands (the reduction step of a gate function,
 /// inversion excluded).
 #[inline]
-pub(crate) fn combine<Wd: KernelWord>(kind: GateKind, a: Wd, b: Wd) -> Wd {
+pub(crate) fn combine(kind: GateKind, a: W3, b: W3) -> W3 {
     match kind {
         GateKind::And | GateKind::Nand => a.and(b),
         GateKind::Or | GateKind::Nor => a.or(b),
@@ -338,9 +37,9 @@ pub(crate) fn combine<Wd: KernelWord>(kind: GateKind, a: Wd, b: Wd) -> Wd {
 
 /// Evaluates one gate by folding its function over the pin span — no
 /// staging buffer. The per-kind dispatch is hoisted out of the pin loop so
-/// each fold body is a straight run of rail ops the compiler vectorizes.
+/// each fold body is a straight run of rail ops.
 #[inline]
-pub(crate) fn eval_gate_g<Wd: KernelWord>(cc: &CompiledCircuit, vals: &[Wd], gid: GateId) -> Wd {
+fn eval_gate(cc: &CompiledCircuit, vals: &[W3], gid: GateId) -> W3 {
     let kind = cc.kind(gid);
     let span = cc.inputs(gid);
     let first = vals[span[0].index()];
@@ -366,17 +65,12 @@ pub(crate) fn eval_gate_g<Wd: KernelWord>(cc: &CompiledCircuit, vals: &[Wd], gid
 /// Evaluates one gate with input-pin overrides applied (the rare,
 /// flagged-gate path).
 #[inline]
-fn eval_gate_flagged_g<Wd: KernelWord>(
-    cc: &CompiledCircuit,
-    vals: &[Wd],
-    gid: GateId,
-    ov: &Overrides,
-) -> Wd {
+fn eval_gate_flagged(cc: &CompiledCircuit, vals: &[W3], gid: GateId, ov: &Overrides) -> W3 {
     let kind = cc.kind(gid);
     let span = cc.inputs(gid);
-    let mut acc = apply_gate_pin_g(ov, gid, 0, vals[span[0].index()]);
+    let mut acc = ov.apply_gate_pin(gid, 0, vals[span[0].index()]);
     for (pin, &net) in span.iter().enumerate().skip(1) {
-        let w = apply_gate_pin_g(ov, gid, pin as u8, vals[net.index()]);
+        let w = ov.apply_gate_pin(gid, pin as u8, vals[net.index()]);
         acc = combine(kind, acc, w);
     }
     if kind.inverts() {
@@ -386,155 +80,7 @@ fn eval_gate_flagged_g<Wd: KernelWord>(
     }
 }
 
-/// Debug-build dual-rail sweep: every value produced by a wide pass must
-/// keep `zero & one == 0` in every lane.
-#[inline]
-pub(crate) fn debug_check_rails<Wd: KernelWord>(vals: &[Wd]) {
-    if cfg!(debug_assertions) {
-        for (i, v) in vals.iter().enumerate() {
-            debug_assert!(
-                v.is_consistent(),
-                "dual-rail invariant violated on net index {i}"
-            );
-        }
-    }
-}
-
-/// Full levelized pass at any width; `ov` adds fault injection with the
-/// legacy override semantics.
-fn full_pass_g<Wd: KernelWord>(cc: &CompiledCircuit, vals: &mut [Wd], ov: Option<&Overrides>) {
-    assert!(vals.len() >= cc.num_nets());
-    // Gate-word accounting: every original gate advances WORDS 64-slot
-    // words in one pass, at every width.
-    crate::stats::add_gate_evals(cc.num_gates() as u64 * Wd::WORDS);
-    match ov {
-        None => {
-            for &gid in cc.schedule() {
-                let out = eval_gate_g(cc, vals, gid);
-                vals[cc.output(gid).index()] = out;
-            }
-        }
-        Some(ov) => {
-            for &net in ov.stems() {
-                if !cc.gate_driven(net) {
-                    vals[net.index()] = apply_stem_g(ov, net, vals[net.index()]);
-                }
-            }
-            for &gid in cc.schedule() {
-                let out = if ov.is_gate_flagged(gid) {
-                    eval_gate_flagged_g(cc, vals, gid, ov)
-                } else {
-                    eval_gate_g(cc, vals, gid)
-                };
-                let onet = cc.output(gid);
-                vals[onet.index()] = apply_stem_g(ov, onet, out);
-            }
-        }
-    }
-}
-
-/// The event-queue half of a [`SimScratch`], split out so the delta core
-/// can borrow it alongside either value array.
-struct EventQueue<'a> {
-    changed: &'a mut Vec<NetId>,
-    dirty: &'a mut [bool],
-    bucket_head: &'a mut [u32],
-    next_in_bucket: &'a mut [u32],
-    in_queue: &'a mut [bool],
-    queued: &'a mut Vec<GateId>,
-}
-
-impl EventQueue<'_> {
-    /// Enqueues `gid` for re-evaluation (once); returns its level.
-    #[inline]
-    fn schedule(&mut self, gid: GateId, cc: &CompiledCircuit) -> u32 {
-        let level = cc.gate_level(gid);
-        if !self.in_queue[gid.index()] {
-            self.in_queue[gid.index()] = true;
-            self.queued.push(gid);
-            let gi = gid.index();
-            self.next_in_bucket[gi] = self.bucket_head[level as usize];
-            self.bucket_head[level as usize] = gi as u32;
-        }
-        level
-    }
-}
-
-/// Event-driven incremental pass at any width (see
-/// [`CompiledSim::eval_delta`] for the contract).
-fn delta_pass_g<Wd: KernelWord>(
-    cc: &CompiledCircuit,
-    vals: &mut [Wd],
-    mut q: EventQueue<'_>,
-    ov: Option<&Overrides>,
-) {
-    debug_assert!(q.queued.is_empty());
-    // Apply source stem overrides to the fresh seeds. Stored values
-    // already satisfy `w == apply_stem(w)` (force is idempotent), so
-    // nets whose seed did not change need no re-application.
-    if let Some(ov) = ov {
-        for i in 0..q.changed.len() {
-            let net = q.changed[i];
-            if !cc.gate_driven(net) {
-                vals[net.index()] = apply_stem_g(ov, net, vals[net.index()]);
-            }
-        }
-    }
-    let mut min_level = u32::MAX;
-    for i in 0..q.changed.len() {
-        let net = q.changed[i];
-        q.dirty[net.index()] = false;
-        for &gid in cc.fanout_gates(net) {
-            min_level = min_level.min(q.schedule(gid, cc));
-        }
-    }
-    q.changed.clear();
-
-    if min_level != u32::MAX {
-        let mut level = min_level as usize;
-        while level < q.bucket_head.len() {
-            while q.bucket_head[level] != NO_GATE {
-                let gid = GateId::from_index(q.bucket_head[level] as usize);
-                q.bucket_head[level] = q.next_in_bucket[gid.index()];
-                let out = match ov {
-                    Some(ov) if ov.is_gate_flagged(gid) => eval_gate_flagged_g(cc, vals, gid, ov),
-                    _ => eval_gate_g(cc, vals, gid),
-                };
-                let onet = cc.output(gid);
-                let out = match ov {
-                    Some(ov) => apply_stem_g(ov, onet, out),
-                    None => out,
-                };
-                if out != vals[onet.index()] {
-                    vals[onet.index()] = out;
-                    for &g2 in cc.fanout_gates(onet) {
-                        q.schedule(g2, cc);
-                    }
-                }
-            }
-            level += 1;
-        }
-    }
-
-    // Per-pass gate-word accounting in original-gate units: the touched
-    // and skipped populations partition the gate set exactly, at every
-    // width.
-    let touched = q.queued.len() as u64;
-    let evals = touched * Wd::WORDS;
-    let skipped = (cc.num_gates() as u64 - touched) * Wd::WORDS;
-    debug_assert_eq!(
-        evals + skipped,
-        cc.num_gates() as u64 * Wd::WORDS,
-        "delta accounting must partition the gate-word population"
-    );
-    crate::stats::add_gate_evals(evals);
-    crate::stats::add_events_skipped(skipped);
-    for gid in q.queued.drain(..) {
-        q.in_queue[gid.index()] = false;
-    }
-}
-
-/// Levelized/event-driven evaluator over a [`CompiledCircuit`].
+/// Levelized evaluator over a [`CompiledCircuit`].
 #[derive(Debug, Clone, Copy)]
 pub struct CompiledSim<'a> {
     cc: &'a CompiledCircuit,
@@ -552,185 +98,49 @@ impl<'a> CompiledSim<'a> {
         self.cc
     }
 
-    /// Full levelized pass, fault-free: fills in every gate output from the
-    /// seeded source nets.
-    pub fn eval(&self, s: &mut SimScratch) {
-        s.clear_events();
-        self.eval_slice(&mut s.vals);
-    }
-
-    /// Full levelized pass with fault injection (same override semantics as
-    /// the legacy [`CombSim::eval_with`](crate::comb::CombSim::eval_with)).
-    pub fn eval_with(&self, s: &mut SimScratch, ov: &Overrides) {
-        s.clear_events();
-        self.eval_with_slice(&mut s.vals, ov);
-    }
-
-    /// Full levelized pass over a caller-owned value slice. Prefer the
-    /// [`SimScratch`]-based entry points; this exists for engines that keep
-    /// their own value overlays (e.g. the PPSFP good machine).
+    /// Full levelized pass, fault-free: fills in every gate output of
+    /// `vals` (indexed by net) from the seeded source nets.
     ///
     /// # Panics
     ///
     /// Panics if `vals` is shorter than the circuit's net count.
     pub fn eval_slice(&self, vals: &mut [W3]) {
-        full_pass_g(self.cc, vals, None);
+        let cc = self.cc;
+        assert!(vals.len() >= cc.num_nets());
+        crate::stats::add_gate_evals(cc.num_gates() as u64);
+        for &gid in cc.schedule() {
+            let out = eval_gate(cc, vals, gid);
+            vals[cc.output(gid).index()] = out;
+        }
     }
 
-    /// Full levelized pass with fault injection over a caller-owned value
-    /// slice (see [`CompiledSim::eval_slice`]).
+    /// Full levelized pass with fault injection (same override semantics as
+    /// the legacy [`CombSim::eval_with`](crate::comb::CombSim::eval_with)):
+    /// stem overrides on source nets are applied to the seeded values
+    /// first, then every gate is evaluated with its pin overrides and its
+    /// output stem override.
     ///
     /// # Panics
     ///
     /// Panics if `vals` is shorter than the circuit's net count.
     pub fn eval_with_slice(&self, vals: &mut [W3], ov: &Overrides) {
-        full_pass_g(self.cc, vals, Some(ov));
-    }
-
-    /// Event-driven incremental pass, fault-free: re-evaluates only the
-    /// fanout cone of the source nets changed through
-    /// [`SimScratch::set_source`] since the last evaluation.
-    ///
-    /// Requires that `s` holds a consistent fault-free evaluation apart
-    /// from those seeds (i.e. the previous call was [`CompiledSim::eval`]
-    /// or `eval_delta` on the same scratch).
-    pub fn eval_delta(&self, s: &mut SimScratch) {
-        let SimScratch {
-            vals,
-            changed,
-            dirty,
-            bucket_head,
-            next_in_bucket,
-            in_queue,
-            queued,
-            ..
-        } = s;
-        delta_pass_g(
-            self.cc,
-            vals,
-            EventQueue {
-                changed,
-                dirty,
-                bucket_head,
-                next_in_bucket,
-                in_queue,
-                queued,
-            },
-            None,
-        );
-    }
-
-    /// Event-driven incremental pass with fault injection.
-    ///
-    /// Requires that `s` holds a consistent evaluation under the *same*
-    /// override set `ov` apart from the seeds (i.e. the previous call was
-    /// [`CompiledSim::eval_with`] or `eval_delta_with` with an unchanged
-    /// `ov`). Values outside the changed cone stay valid precisely because
-    /// neither their inputs nor the injected faults moved.
-    pub fn eval_delta_with(&self, s: &mut SimScratch, ov: &Overrides) {
-        let SimScratch {
-            vals,
-            changed,
-            dirty,
-            bucket_head,
-            next_in_bucket,
-            in_queue,
-            queued,
-            ..
-        } = s;
-        delta_pass_g(
-            self.cc,
-            vals,
-            EventQueue {
-                changed,
-                dirty,
-                bucket_head,
-                next_in_bucket,
-                in_queue,
-                queued,
-            },
-            Some(ov),
-        );
-    }
-
-    /// Wide ([`LANES`] × 64 slot) full levelized pass, fault-free.
-    ///
-    /// Allocates the scratch's wide array on first use; seeds go through
-    /// [`SimScratch::set_source_wide`].
-    pub fn eval_wide(&self, s: &mut SimScratch) {
-        s.ensure_wide(self.cc);
-        s.clear_events();
-        self.eval_slice_wide(&mut s.wvals);
-    }
-
-    /// Wide full levelized pass with fault injection. Override slot masks
-    /// apply to every lane (the same fault assignment against `LANES` × 64
-    /// patterns).
-    pub fn eval_with_wide(&self, s: &mut SimScratch, ov: &Overrides) {
-        s.ensure_wide(self.cc);
-        s.clear_events();
-        self.eval_with_slice_wide(&mut s.wvals, ov);
-    }
-
-    /// Wide full levelized pass over a caller-owned block slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vals` is shorter than the circuit's net count.
-    pub fn eval_slice_wide(&self, vals: &mut [W3x4]) {
-        full_pass_g(self.cc, vals, None);
-        debug_check_rails(&vals[..self.cc.num_nets()]);
-    }
-
-    /// Wide full levelized pass with fault injection over a caller-owned
-    /// block slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vals` is shorter than the circuit's net count.
-    pub fn eval_with_slice_wide(&self, vals: &mut [W3x4], ov: &Overrides) {
-        full_pass_g(self.cc, vals, Some(ov));
-        debug_check_rails(&vals[..self.cc.num_nets()]);
-    }
-
-    /// Wide event-driven incremental pass, fault-free (same contract as
-    /// [`CompiledSim::eval_delta`], over the wide value array).
-    pub fn eval_delta_wide(&self, s: &mut SimScratch) {
-        self.delta_wide(s, None);
-    }
-
-    /// Wide event-driven incremental pass with fault injection (same
-    /// contract as [`CompiledSim::eval_delta_with`]).
-    pub fn eval_delta_with_wide(&self, s: &mut SimScratch, ov: &Overrides) {
-        self.delta_wide(s, Some(ov));
-    }
-
-    fn delta_wide(&self, s: &mut SimScratch, ov: Option<&Overrides>) {
-        s.ensure_wide(self.cc);
-        let SimScratch {
-            wvals,
-            changed,
-            dirty,
-            bucket_head,
-            next_in_bucket,
-            in_queue,
-            queued,
-            ..
-        } = s;
-        delta_pass_g(
-            self.cc,
-            wvals,
-            EventQueue {
-                changed,
-                dirty,
-                bucket_head,
-                next_in_bucket,
-                in_queue,
-                queued,
-            },
-            ov,
-        );
-        debug_check_rails(&s.wvals[..self.cc.num_nets()]);
+        let cc = self.cc;
+        assert!(vals.len() >= cc.num_nets());
+        crate::stats::add_gate_evals(cc.num_gates() as u64);
+        for &net in ov.stems() {
+            if !cc.gate_driven(net) {
+                vals[net.index()] = ov.apply_stem(net, vals[net.index()]);
+            }
+        }
+        for &gid in cc.schedule() {
+            let out = if ov.is_gate_flagged(gid) {
+                eval_gate_flagged(cc, vals, gid, ov)
+            } else {
+                eval_gate(cc, vals, gid)
+            };
+            let onet = cc.output(gid);
+            vals[onet.index()] = ov.apply_stem(onet, out);
+        }
     }
 }
 
@@ -738,8 +148,7 @@ impl<'a> CompiledSim<'a> {
 mod tests {
     use super::*;
     use crate::comb::CombSim;
-    use crate::fault::{Fault, FaultSite, FaultUniverse};
-    use crate::logic::V3;
+    use crate::fault::FaultUniverse;
     use atspeed_circuit::bench_fmt::s27;
     use atspeed_circuit::synth::{generate, SynthSpec};
     use atspeed_circuit::Netlist;
@@ -764,42 +173,13 @@ mod tests {
         }
     }
 
-    fn random_w3x4(r: &mut impl FnMut() -> u64) -> W3x4 {
-        let mut w = W3x4::ALL_X;
-        for l in 0..LANES {
-            w.set_lane(l, random_w3(r));
-        }
-        w
-    }
-
-    fn seed_sources(nl: &Netlist, s: &mut SimScratch, r: &mut impl FnMut() -> u64) {
+    fn seed_sources(nl: &Netlist, vals: &mut [W3], r: &mut impl FnMut() -> u64) {
         for &pi in nl.pis() {
-            s.set_source(pi, random_w3(r));
+            vals[pi.index()] = random_w3(r);
         }
         for ff in nl.ffs() {
-            s.set_source(ff.q(), random_w3(r));
+            vals[ff.q().index()] = random_w3(r);
         }
-    }
-
-    /// Seeds the wide scratch with per-lane words and returns a scalar
-    /// scratch seeded lane-by-lane for cross-checking.
-    fn seed_sources_wide(
-        nl: &Netlist,
-        s: &mut SimScratch,
-        r: &mut impl FnMut() -> u64,
-    ) -> Vec<(NetId, W3x4)> {
-        let mut seeds = Vec::new();
-        for &pi in nl.pis() {
-            let w = random_w3x4(r);
-            s.set_source_wide(pi, w);
-            seeds.push((pi, w));
-        }
-        for ff in nl.ffs() {
-            let w = random_w3x4(r);
-            s.set_source_wide(ff.q(), w);
-            seeds.push((ff.q(), w));
-        }
-        seeds
     }
 
     #[test]
@@ -808,17 +188,16 @@ mod tests {
             s27(),
             generate(&SynthSpec::new("k", 6, 4, 9, 200, 7)).unwrap(),
         ] {
-            let cc = nl.compiled();
-            let sim = CompiledSim::new(cc);
+            let sim = CompiledSim::new(nl.compiled());
             let mut legacy = CombSim::new(&nl);
-            let mut s = SimScratch::new(cc);
+            let mut fast = vec![W3::ALL_X; nl.num_nets()];
             let mut r = rng(0xfeed);
             for _ in 0..10 {
-                seed_sources(&nl, &mut s, &mut r);
-                let mut vals = s.values().to_vec();
-                sim.eval(&mut s);
-                legacy.eval(&mut vals);
-                assert_eq!(s.values(), vals.as_slice());
+                seed_sources(&nl, &mut fast, &mut r);
+                let mut slow = fast.clone();
+                sim.eval_slice(&mut fast);
+                legacy.eval(&mut slow);
+                assert_eq!(fast, slow);
             }
         }
     }
@@ -826,11 +205,10 @@ mod tests {
     #[test]
     fn full_pass_with_overrides_matches_legacy_walker() {
         let nl = generate(&SynthSpec::new("ko", 6, 4, 9, 200, 13)).unwrap();
-        let cc = nl.compiled();
         let u = FaultUniverse::full(&nl);
-        let sim = CompiledSim::new(cc);
+        let sim = CompiledSim::new(nl.compiled());
         let mut legacy = CombSim::new(&nl);
-        let mut s = SimScratch::new(cc);
+        let mut fast = vec![W3::ALL_X; nl.num_nets()];
         let mut ov = Overrides::new(&nl);
         let mut r = rng(0xbeef);
         let faults: Vec<_> = u.all_ids().collect();
@@ -839,290 +217,30 @@ mod tests {
             for (k, &fid) in chunk.iter().enumerate() {
                 ov.add(u.fault(fid), 1u64 << (k + 1));
             }
-            seed_sources(&nl, &mut s, &mut r);
-            let mut vals = s.values().to_vec();
-            sim.eval_with(&mut s, &ov);
-            legacy.eval_with(&mut vals, &ov);
-            assert_eq!(s.values(), vals.as_slice());
-        }
-    }
-
-    #[test]
-    fn delta_pass_matches_full_pass() {
-        let nl = generate(&SynthSpec::new("kd", 6, 4, 9, 200, 21)).unwrap();
-        let cc = nl.compiled();
-        let sim = CompiledSim::new(cc);
-        let mut fast = SimScratch::new(cc);
-        let mut slow = SimScratch::new(cc);
-        let mut r = rng(0xabc);
-        seed_sources(&nl, &mut fast, &mut r);
-        sim.eval(&mut fast);
-        for round in 0..20 {
-            // Change a few sources only; occasionally none at all.
-            let n = round % 4;
-            for _ in 0..n {
-                let pick = (r() as usize) % (nl.num_pis() + nl.num_ffs());
-                let net = if pick < nl.num_pis() {
-                    nl.pis()[pick]
-                } else {
-                    nl.ffs()[pick - nl.num_pis()].q()
-                };
-                fast.set_source(net, random_w3(&mut r));
-            }
-            sim.eval_delta(&mut fast);
-            for net in nl.net_ids() {
-                slow.set_untracked(net, fast.value(net));
-            }
-            sim.eval(&mut slow);
-            assert_eq!(fast.values(), slow.values(), "round {round}");
-        }
-    }
-
-    #[test]
-    fn delta_pass_with_overrides_matches_full_pass() {
-        let nl = generate(&SynthSpec::new("kdo", 6, 4, 9, 200, 33)).unwrap();
-        let cc = nl.compiled();
-        let u = FaultUniverse::full(&nl);
-        let sim = CompiledSim::new(cc);
-        let mut fast = SimScratch::new(cc);
-        let mut r = rng(0x777);
-        let faults: Vec<_> = u.representatives().to_vec();
-        for chunk in faults.chunks(63) {
-            let mut ov = Overrides::new(&nl);
-            for (k, &fid) in chunk.iter().enumerate() {
-                ov.add(u.fault(fid), 1u64 << (k + 1));
-            }
             seed_sources(&nl, &mut fast, &mut r);
-            sim.eval_with(&mut fast, &ov);
-            for _ in 0..5 {
-                seed_sources(&nl, &mut fast, &mut r);
-                sim.eval_delta_with(&mut fast, &ov);
-                let mut slow = SimScratch::new(cc);
-                for &pi in nl.pis() {
-                    slow.set_untracked(pi, fast.value(pi));
-                }
-                for ff in nl.ffs() {
-                    slow.set_untracked(ff.q(), fast.value(ff.q()));
-                }
-                sim.eval_with(&mut slow, &ov);
-                assert_eq!(fast.values(), slow.values());
-            }
+            let mut slow = fast.clone();
+            sim.eval_with_slice(&mut fast, &ov);
+            legacy.eval_with(&mut slow, &ov);
+            assert_eq!(fast, slow);
         }
     }
 
+    /// A full pass credits one gate evaluation per gate.
     #[test]
-    fn delta_with_source_stem_override_tracks_reseed() {
-        // A stem fault on a PI must keep forcing the faulty slot across
-        // delta re-seeds of that same PI.
-        let nl = s27();
-        let cc = nl.compiled();
-        let sim = CompiledSim::new(cc);
-        let pi = nl.pis()[0];
-        let mut ov = Overrides::new(&nl);
-        ov.add(
-            Fault {
-                site: FaultSite::Stem(pi),
-                stuck: true,
-            },
-            0b10,
-        );
-        let mut s = SimScratch::new(cc);
-        for &p in nl.pis() {
-            s.set_source(p, W3::ALL_ZERO);
-        }
-        for ff in nl.ffs() {
-            s.set_source(ff.q(), W3::ALL_ZERO);
-        }
-        sim.eval_with(&mut s, &ov);
-        assert_eq!(s.value(pi).get(1), V3::One);
-        // Reseed the faulty PI to 0 again; the override must re-apply.
-        s.set_source(pi, W3::ALL_ZERO);
-        sim.eval_delta_with(&mut s, &ov);
-        assert_eq!(s.value(pi).get(0), V3::Zero);
-        assert_eq!(s.value(pi).get(1), V3::One);
-    }
-
-    #[test]
-    fn set_source_records_no_event_for_equal_value() {
-        let nl = s27();
-        let cc = nl.compiled();
-        let sim = CompiledSim::new(cc);
-        let mut s = SimScratch::new(cc);
-        for &p in nl.pis() {
-            s.set_source(p, W3::ALL_ONE);
-        }
-        for ff in nl.ffs() {
-            s.set_source(ff.q(), W3::ALL_ONE);
-        }
-        sim.eval(&mut s);
-        let before = s.values().to_vec();
-        // Identical reseed: the delta pass must be a no-op.
-        for &p in nl.pis() {
-            s.set_source(p, W3::ALL_ONE);
-        }
-        sim.eval_delta(&mut s);
-        assert_eq!(s.values(), before.as_slice());
-    }
-
-    /// Every lane of a wide full pass must equal a scalar full pass seeded
-    /// with that lane's words, with and without overrides.
-    #[test]
-    fn wide_full_pass_matches_scalar_per_lane() {
-        for nl in [
-            s27(),
-            generate(&SynthSpec::new("kw", 6, 4, 9, 200, 55)).unwrap(),
-        ] {
-            let cc = nl.compiled();
-            let u = FaultUniverse::full(&nl);
-            let sim = CompiledSim::new(cc);
-            let mut wide = SimScratch::new_wide(cc);
-            let mut r = rng(0xD00D);
-
-            let mut ov = Overrides::new(&nl);
-            for (k, &fid) in u.representatives().iter().take(40).enumerate() {
-                ov.add(u.fault(fid), 1u64 << (k % 63 + 1));
-            }
-
-            for round in 0..4 {
-                let seeds = seed_sources_wide(&nl, &mut wide, &mut r);
-                if round % 2 == 0 {
-                    sim.eval_wide(&mut wide);
-                } else {
-                    sim.eval_with_wide(&mut wide, &ov);
-                }
-                for l in 0..LANES {
-                    let mut scalar = SimScratch::new(cc);
-                    for &(net, w) in &seeds {
-                        scalar.set_source(net, w.lane(l));
-                    }
-                    if round % 2 == 0 {
-                        sim.eval(&mut scalar);
-                    } else {
-                        sim.eval_with(&mut scalar, &ov);
-                    }
-                    for net in nl.net_ids() {
-                        assert_eq!(
-                            wide.value_wide(net).lane(l),
-                            scalar.value(net),
-                            "round {round} lane {l} net {}",
-                            nl.net_name(net)
-                        );
-                    }
-                }
-                assert_eq!(wide.check_dual_rail(), None);
-            }
-        }
-    }
-
-    /// Wide delta passes must match wide full passes on the same seeds.
-    #[test]
-    fn wide_delta_matches_wide_full_pass() {
-        let nl = generate(&SynthSpec::new("kwd", 6, 4, 9, 200, 77)).unwrap();
-        let cc = nl.compiled();
-        let u = FaultUniverse::full(&nl);
-        let sim = CompiledSim::new(cc);
-        let mut r = rng(0xACE);
-        for use_ov in [false, true] {
-            let mut ov = Overrides::new(&nl);
-            if use_ov {
-                for (k, &fid) in u.representatives().iter().take(30).enumerate() {
-                    ov.add(u.fault(fid), 1u64 << (k % 63 + 1));
-                }
-            }
-            let mut fast = SimScratch::new_wide(cc);
-            seed_sources_wide(&nl, &mut fast, &mut r);
-            if use_ov {
-                sim.eval_with_wide(&mut fast, &ov);
-            } else {
-                sim.eval_wide(&mut fast);
-            }
-            for round in 0..6 {
-                // Reseed a random subset of sources.
-                for &pi in nl.pis() {
-                    if r() & 1 == 0 {
-                        fast.set_source_wide(pi, random_w3x4(&mut r));
-                    }
-                }
-                for ff in nl.ffs() {
-                    if r() & 1 == 0 {
-                        fast.set_source_wide(ff.q(), random_w3x4(&mut r));
-                    }
-                }
-                if use_ov {
-                    sim.eval_delta_with_wide(&mut fast, &ov);
-                } else {
-                    sim.eval_delta_wide(&mut fast);
-                }
-                let mut slow = SimScratch::new_wide(cc);
-                for &pi in nl.pis() {
-                    slow.set_source_wide(pi, fast.value_wide(pi));
-                }
-                for ff in nl.ffs() {
-                    slow.set_source_wide(ff.q(), fast.value_wide(ff.q()));
-                }
-                if use_ov {
-                    sim.eval_with_wide(&mut slow, &ov);
-                } else {
-                    sim.eval_wide(&mut slow);
-                }
-                assert_eq!(
-                    fast.values_wide(),
-                    slow.values_wide(),
-                    "ov {use_ov} round {round}"
-                );
-            }
-        }
-    }
-
-    /// Gate-eval counters are in gate-word units: a scalar full pass
-    /// credits `G`, a wide pass `G × LANES`, and delta accounting
-    /// partitions `G × words` between evals and skips at both widths.
-    #[test]
-    fn counters_are_gate_word_consistent_across_widths() {
+    fn full_pass_credits_one_eval_per_gate() {
         let nl = generate(&SynthSpec::new("kc", 6, 4, 9, 200, 91)).unwrap();
         let cc = nl.compiled();
-        let g = cc.num_gates() as u64;
         let sim = CompiledSim::new(cc);
-        let mut r = rng(0x5CA1E);
+        let mut vals = vec![W3::ALL_X; nl.num_nets()];
+        seed_sources(&nl, &mut vals, &mut rng(0x5CA1E));
 
         let scope = crate::stats::scoped();
-        crate::stats::set_phase("scalar");
-        let mut s = SimScratch::new(cc);
-        seed_sources(&nl, &mut s, &mut r);
-        sim.eval(&mut s);
-        crate::stats::flush();
-        let scalar = scope.report().totals().gate_evals;
-        assert_eq!(scalar, g, "scalar full pass credits one word per gate");
-
-        let scope = crate::stats::scoped();
-        crate::stats::set_phase("wide");
-        let mut w = SimScratch::new_wide(cc);
-        seed_sources_wide(&nl, &mut w, &mut r);
-        sim.eval_wide(&mut w);
-        crate::stats::flush();
-        let wide = scope.report().totals().gate_evals;
-        assert_eq!(
-            wide,
-            g * LANES as u64,
-            "wide full pass credits LANES words per gate"
-        );
-
-        // Delta at both widths: evals + skipped must equal G × words.
-        let scope = crate::stats::scoped();
-        crate::stats::set_phase("delta");
-        seed_sources(&nl, &mut s, &mut r);
-        sim.eval_delta(&mut s);
+        crate::stats::set_phase("full");
+        sim.eval_slice(&mut vals);
+        sim.eval_with_slice(&mut vals, &Overrides::new(&nl));
         crate::stats::flush();
         let t = scope.report().totals();
-        assert_eq!(t.gate_evals + t.events_skipped, g);
-
-        let scope = crate::stats::scoped();
-        crate::stats::set_phase("delta-wide");
-        seed_sources_wide(&nl, &mut w, &mut r);
-        sim.eval_delta_wide(&mut w);
-        crate::stats::flush();
-        let t = scope.report().totals();
-        assert_eq!(t.gate_evals + t.events_skipped, g * LANES as u64);
-        assert!(t.gate_evals > 0, "the reseed touched at least one gate");
+        assert_eq!(t.gate_evals, 2 * cc.num_gates() as u64);
+        assert_eq!(t.events_skipped, 0);
     }
 }

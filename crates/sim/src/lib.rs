@@ -6,8 +6,11 @@
 //! - [`logic`] — a 3-valued (0/1/X) logic system packed 64 slots per word,
 //!   so one gate evaluation advances 64 independent machines;
 //! - [`vectors`] — primary-input sequences and state vectors;
-//! - [`comb`] — levelized combinational evaluation with fault-injection
-//!   overrides;
+//! - [`comb`] — the legacy levelized walker with fault-injection
+//!   overrides, kept as the reference the compiled kernel is checked
+//!   against;
+//! - [`kernel`] — [`CompiledSim`], the one simulation kernel: a full
+//!   levelized pass over the compiled CSR view of the netlist;
 //! - [`fault`] — the single stuck-at fault universe with structural
 //!   equivalence collapsing;
 //! - [`fsim_comb`] — parallel-pattern single-fault (PPSFP) combinational
@@ -41,13 +44,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(feature = "wide-simd", feature(portable_simd))]
 
 pub mod comb;
 pub mod fault;
 pub mod fsim_comb;
 pub mod fsim_seq;
-pub mod fused;
 pub mod kernel;
 pub mod logic;
 pub mod parallel;
@@ -60,9 +61,8 @@ pub use comb::{CombSim, Overrides};
 pub use fault::{Fault, FaultId, FaultSite, FaultUniverse};
 pub use fsim_comb::{CombFaultSim, CombTest};
 pub use fsim_seq::{DetectionProfile, FinalObserve, SeqFaultSim, SeqSim};
-pub use fused::{FusedSim, FUSED_SLICE_PAD};
-pub use kernel::{CompiledSim, SimScratch};
-pub use logic::{W3x4, LANES, V3, W3};
+pub use kernel::CompiledSim;
+pub use logic::{V3, W3};
 pub use parallel::{EngineKind, MatrixMismatch, ParallelFsim, SimConfig};
 pub use stats::{PhaseStats, SimReport};
 pub use transition::{TransitionFault, TransitionFaultSim};

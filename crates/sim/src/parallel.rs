@@ -35,57 +35,21 @@ use crate::vectors::{Sequence, State};
 
 /// Which evaluation kernel the simulation engines run on.
 ///
-/// Every engine produces **identical results** at every kind — the kinds
-/// trade evaluation strategy, not semantics:
-///
-/// - [`EngineKind::Scalar`] — one 64-slot [`W3`](crate::logic::W3) word
-///   per net, gate at a time (the historical kernel, and the default);
-/// - [`EngineKind::Wide`] — [`LANES`](crate::logic::LANES) × 64-slot
-///   [`W3x4`](crate::logic::W3x4) blocks per net, gate at a time, for
-///   engines with a batchable pattern dimension;
-/// - [`EngineKind::WideFused`] — wide blocks over the cone-fused unit
-///   schedule ([`FusedSim`](crate::fused::FusedSim)). After a fused pass
-///   only root and source nets hold live values, so engines that read
-///   arbitrary interior nets (the PPSFP good machine, PODEM's forward
-///   sim) degrade to [`EngineKind::Wide`] — each engine's docs state its
-///   behavior.
+/// There is one kernel, the scalar full levelized pass
+/// ([`CompiledSim`](crate::kernel::CompiledSim)); the type stays so
+/// configurations and reports can name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Scalar gate-at-a-time kernel (default).
+    /// Scalar full-pass kernel: one 64-slot [`W3`](crate::logic::W3) word
+    /// per net, every gate evaluated each pass.
     #[default]
     Scalar,
-    /// SIMD-widened gate-at-a-time kernel.
-    Wide,
-    /// SIMD-widened kernel over the cone-fused unit schedule.
-    WideFused,
-}
-
-impl EngineKind {
-    /// All kinds, for exhaustive sweeps in tests and fuzzing.
-    pub const ALL: [EngineKind; 3] = [EngineKind::Scalar, EngineKind::Wide, EngineKind::WideFused];
-}
-
-impl std::str::FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Ok(EngineKind::Scalar),
-            "wide" => Ok(EngineKind::Wide),
-            "wide+fused" | "wide-fused" | "fused" => Ok(EngineKind::WideFused),
-            other => Err(format!(
-                "unknown engine `{other}` (expected scalar, wide, or wide+fused)"
-            )),
-        }
-    }
 }
 
 impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             EngineKind::Scalar => "scalar",
-            EngineKind::Wide => "wide",
-            EngineKind::WideFused => "wide+fused",
         })
     }
 }
@@ -100,8 +64,7 @@ pub struct SimConfig {
     /// calls, 64-test blocks (or scan tests) per claim for test-sharded
     /// calls. `0` picks a balanced size automatically.
     pub chunk_size: usize,
-    /// Evaluation kernel. Engines built through this config inherit it;
-    /// every kind produces identical results (see [`EngineKind`]).
+    /// Evaluation kernel (always [`EngineKind::Scalar`]).
     pub engine: EngineKind,
 }
 
@@ -116,21 +79,19 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Reads `SIM_THREADS` (unset means `1`, serial; `0` means one thread
-    /// per available core) and `SIM_ENGINE` (`scalar`, `wide`, or
-    /// `wide+fused`; unset means `scalar`) from the environment,
-    /// **rejecting** unparsable values.
+    /// Reads `SIM_THREADS` from the environment (unset means `1`, serial;
+    /// `0` means one thread per available core), **rejecting** an
+    /// unparsable value.
     ///
-    /// Prefer this in anything long-running or gated: a typo like
-    /// `SIM_ENGINE=widefused` silently running the slow scalar engine can
-    /// mask a performance regression (or a CI kernel gate) for a long
-    /// time. [`SimConfig::from_env`] is the lenient wrapper that falls
-    /// back to the defaults but logs a `warn!` event, so the typo is at
-    /// least visible.
+    /// Prefer this in anything long-running: a typo that silently runs
+    /// serial can mask a performance regression for a long time.
+    /// [`SimConfig::from_env`] is the lenient wrapper that falls back to
+    /// the default but logs a `warn!` event, so the typo is at least
+    /// visible.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first unparsable variable.
+    /// Returns a description of the unparsable value.
     pub fn try_from_env() -> Result<Self, String> {
         let threads = match std::env::var("SIM_THREADS") {
             Ok(s) => s
@@ -139,24 +100,12 @@ impl SimConfig {
                 .map_err(|_| format!("bad SIM_THREADS `{s}` (expected a thread count)"))?,
             Err(_) => 1,
         };
-        let engine = match std::env::var("SIM_ENGINE") {
-            Ok(s) => s
-                .parse::<EngineKind>()
-                .map_err(|e| format!("bad SIM_ENGINE: {e}"))?,
-            Err(_) => EngineKind::default(),
-        };
-        Ok(SimConfig {
-            threads,
-            chunk_size: 0,
-            engine,
-        })
+        Ok(SimConfig::with_threads(threads))
     }
 
-    /// Reads `SIM_THREADS` and `SIM_ENGINE` from the environment like
-    /// [`SimConfig::try_from_env`], but each unparsable variable falls
-    /// back to its default (serial threads, scalar engine) after emitting
-    /// a `warn!` log event naming the bad value — never silently. A valid
-    /// variable is honored even when the other one is broken.
+    /// Reads `SIM_THREADS` like [`SimConfig::try_from_env`], but an
+    /// unparsable value falls back to serial after emitting a `warn!` log
+    /// event naming the bad value — never silently.
     pub fn from_env() -> Self {
         let threads = match std::env::var("SIM_THREADS") {
             Ok(s) => s.trim().parse::<usize>().unwrap_or_else(|_| {
@@ -169,38 +118,15 @@ impl SimConfig {
             }),
             Err(_) => 1,
         };
-        let engine = match std::env::var("SIM_ENGINE") {
-            Ok(s) => s.parse::<EngineKind>().unwrap_or_else(|e| {
-                atspeed_trace::warn!(
-                    "sim.config",
-                    "ignoring unparsable SIM_ENGINE; using the scalar kernel";
-                    value = s,
-                    reason = e,
-                );
-                EngineKind::default()
-            }),
-            Err(_) => EngineKind::default(),
-        };
-        SimConfig {
-            threads,
-            chunk_size: 0,
-            engine,
-        }
+        SimConfig::with_threads(threads)
     }
 
     /// A config with the given worker-thread count.
     pub fn with_threads(threads: usize) -> Self {
         SimConfig {
             threads,
-            chunk_size: 0,
-            engine: EngineKind::Scalar,
+            ..SimConfig::default()
         }
-    }
-
-    /// This config with a different evaluation kernel.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// The actual worker count for a call: `threads` (resolving `0` to the
@@ -458,8 +384,7 @@ impl<'a> ParallelFsim<'a> {
     ) -> Vec<u64> {
         let threads = self.cfg.effective_threads(faults.len());
         if threads <= 1 {
-            return CombFaultSim::with_engine(self.nl, self.cfg.engine)
-                .detect_block(tests, faults, universe);
+            return CombFaultSim::new(self.nl).detect_block(tests, faults, universe);
         }
         assert!(
             !tests.is_empty() && tests.len() <= 64,
@@ -470,7 +395,7 @@ impl<'a> ParallelFsim<'a> {
         let masks = self.run_partitioned(
             &parts,
             threads,
-            || CombFaultSim::with_engine(self.nl, self.cfg.engine),
+            || CombFaultSim::new(self.nl),
             |sim, part| {
                 stats::add_invocation();
                 let ids: Vec<FaultId> = part.iter().map(|&k| faults[k]).collect();
@@ -498,8 +423,7 @@ impl<'a> ParallelFsim<'a> {
         let blocks: Vec<&[CombTest]> = tests.chunks(64).collect();
         let threads = self.cfg.effective_threads(blocks.len());
         if threads <= 1 {
-            return CombFaultSim::with_engine(self.nl, self.cfg.engine)
-                .detect_all(tests, faults, universe);
+            return CombFaultSim::new(self.nl).detect_all(tests, faults, universe);
         }
         let chunk = if self.cfg.chunk_size > 0 {
             self.cfg.chunk_size
@@ -515,7 +439,7 @@ impl<'a> ParallelFsim<'a> {
                 s.spawn(|| {
                     let _g = h.enter();
                     let _ts = scope_tracer.clone().map(atspeed_trace::scope);
-                    let mut sim = CombFaultSim::with_engine(self.nl, self.cfg.engine);
+                    let mut sim = CombFaultSim::new(self.nl);
                     let mut alive_idx: Vec<usize> = Vec::with_capacity(faults.len());
                     let mut alive_ids: Vec<FaultId> = Vec::with_capacity(faults.len());
                     loop {
@@ -563,8 +487,7 @@ impl<'a> ParallelFsim<'a> {
     ) -> Vec<Vec<u64>> {
         let threads = self.cfg.effective_threads(faults.len());
         if threads <= 1 {
-            return CombFaultSim::with_engine(self.nl, self.cfg.engine)
-                .detect_matrix(tests, faults, universe);
+            return CombFaultSim::new(self.nl).detect_matrix(tests, faults, universe);
         }
         let words = tests.len().div_ceil(64);
         let parts =
@@ -572,7 +495,7 @@ impl<'a> ParallelFsim<'a> {
         let rows = self.run_partitioned(
             &parts,
             threads,
-            || CombFaultSim::with_engine(self.nl, self.cfg.engine),
+            || CombFaultSim::new(self.nl),
             |sim, part| {
                 stats::add_invocation();
                 let ids: Vec<FaultId> = part.iter().map(|&k| faults[k]).collect();
@@ -661,15 +584,14 @@ impl<'a> ParallelFsim<'a> {
     ) -> Vec<bool> {
         let threads = self.cfg.effective_threads(faults.len());
         if threads <= 1 {
-            return SeqFaultSim::with_engine(self.nl, self.cfg.engine)
-                .detect_observed(init, seq, faults, universe, observe);
+            return SeqFaultSim::new(self.nl).detect_observed(init, seq, faults, universe, observe);
         }
         let parts =
             self.fault_partitions(faults, universe, self.fault_units(faults.len(), threads));
         let dets = self.run_partitioned(
             &parts,
             threads,
-            || SeqFaultSim::with_engine(self.nl, self.cfg.engine),
+            || SeqFaultSim::new(self.nl),
             |sim, part| {
                 let ids: Vec<FaultId> = part.iter().map(|&k| faults[k]).collect();
                 sim.detect_observed(init, seq, &ids, universe, observe)
@@ -711,7 +633,7 @@ impl<'a> ParallelFsim<'a> {
     ) -> (Vec<DetectionProfile>, u64) {
         let threads = self.cfg.effective_threads(faults.len());
         if threads <= 1 {
-            return SeqFaultSim::with_engine(self.nl, self.cfg.engine).profiles_bounded(
+            return SeqFaultSim::new(self.nl).profiles_bounded(
                 init,
                 seq,
                 faults,
@@ -724,7 +646,7 @@ impl<'a> ParallelFsim<'a> {
         let results = self.run_partitioned(
             &parts,
             threads,
-            || SeqFaultSim::with_engine(self.nl, self.cfg.engine),
+            || SeqFaultSim::new(self.nl),
             |sim, part| {
                 let ids: Vec<FaultId> = part.iter().map(|&k| faults[k]).collect();
                 sim.profiles_bounded(init, seq, &ids, universe, max_state_words)
@@ -760,7 +682,7 @@ impl<'a> ParallelFsim<'a> {
     ) -> Vec<bool> {
         let threads = self.cfg.effective_threads(runs.len());
         if threads <= 1 {
-            let mut sim = SeqFaultSim::with_engine(self.nl, self.cfg.engine);
+            let mut sim = SeqFaultSim::new(self.nl);
             let mut detected = vec![false; faults.len()];
             let mut alive: Vec<usize> = (0..faults.len()).collect();
             for (init, seq) in runs {
@@ -798,7 +720,7 @@ impl<'a> ParallelFsim<'a> {
                 s.spawn(|| {
                     let _g = h.enter();
                     let _ts = scope_tracer.clone().map(atspeed_trace::scope);
-                    let mut sim = SeqFaultSim::with_engine(self.nl, self.cfg.engine);
+                    let mut sim = SeqFaultSim::new(self.nl);
                     let mut alive_idx: Vec<usize> = Vec::with_capacity(faults.len());
                     let mut alive_ids: Vec<FaultId> = Vec::with_capacity(faults.len());
                     loop {
@@ -873,41 +795,30 @@ mod tests {
 
     #[test]
     fn env_parsing_rejects_garbage_and_accepts_valid_values() {
-        // Serialize env mutation: other tests may read SIM_* concurrently,
-        // so every env-touching assertion lives in this one test.
-        let set = |k: &str, v: Option<&str>| match v {
-            Some(v) => std::env::set_var(k, v),
-            None => std::env::remove_var(k),
+        // Serialize env mutation: other tests may read SIM_THREADS
+        // concurrently, so every env-touching assertion lives in this one
+        // test.
+        let set = |v: Option<&str>| match v {
+            Some(v) => std::env::set_var("SIM_THREADS", v),
+            None => std::env::remove_var("SIM_THREADS"),
         };
-        let saved_t = std::env::var("SIM_THREADS").ok();
-        let saved_e = std::env::var("SIM_ENGINE").ok();
+        let saved = std::env::var("SIM_THREADS").ok();
 
-        set("SIM_THREADS", Some("4"));
-        set("SIM_ENGINE", Some("wide+fused"));
+        set(Some("4"));
         let cfg = SimConfig::try_from_env().expect("valid values parse");
         assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.engine, EngineKind::WideFused);
+        assert_eq!(cfg.engine, EngineKind::Scalar);
         assert_eq!(SimConfig::from_env(), cfg);
 
-        // The historical bug: `widefused` silently fell back to scalar.
-        set("SIM_ENGINE", Some("widefused"));
-        let err = SimConfig::try_from_env().expect_err("typo engines are rejected");
-        assert!(err.contains("widefused"), "{err}");
-        // The lenient wrapper keeps the *valid* thread count.
-        let lenient = SimConfig::from_env();
-        assert_eq!(lenient.threads, 4);
-        assert_eq!(lenient.engine, EngineKind::Scalar);
-
-        set("SIM_THREADS", Some("many"));
-        set("SIM_ENGINE", Some("wide"));
+        set(Some("many"));
         let err = SimConfig::try_from_env().expect_err("bad thread counts are rejected");
         assert!(err.contains("SIM_THREADS"), "{err}");
-        let lenient = SimConfig::from_env();
-        assert_eq!(lenient.threads, 1);
-        assert_eq!(lenient.engine, EngineKind::Wide);
+        assert_eq!(SimConfig::from_env(), SimConfig::default());
 
-        set("SIM_THREADS", saved_t.as_deref());
-        set("SIM_ENGINE", saved_e.as_deref());
+        set(None);
+        assert_eq!(SimConfig::try_from_env(), Ok(SimConfig::default()));
+
+        set(saved.as_deref());
     }
 
     #[test]

@@ -25,13 +25,9 @@
 //!
 //! Counter semantics:
 //!
-//! - **gate evaluations** — gate-words: one unit is one gate evaluated over
-//!   one 64-slot word. A scalar full pass counts one per gate, a wide
-//!   (`W3x4`) pass counts `LANES` per gate, a fused pass counts every gate
-//!   inside its evaluated units, and event-driven propagation counts only
-//!   the gate-words it touched. Skipped work is reported in the same unit
-//!   (`events_skipped`), so for any delta pass
-//!   `evals + skipped == num_gates × words`;
+//! - **gate evaluations** — one unit is one gate evaluated over one 64-slot
+//!   word. A full pass counts one per gate; the PPSFP engine's
+//!   event-driven fault propagation counts only the gates it touched;
 //! - **invocations** — engine-level fault-simulation entry points
 //!   (`detect*`, `profiles`). A parallel call that fans out to `P`
 //!   partitions counts once per partition;
@@ -54,7 +50,6 @@ thread_local! {
     static GATE_EVALS: Cell<u64> = const { Cell::new(0) };
     static INVOCATIONS: Cell<u64> = const { Cell::new(0) };
     static DROPPED: Cell<u64> = const { Cell::new(0) };
-    static EVENTS_SKIPPED: Cell<u64> = const { Cell::new(0) };
     // Partition wall times are batched here too, so a worker takes the
     // registry lock once per claimed partition set (at flush) instead of
     // once per partition.
@@ -71,7 +66,6 @@ struct Pending {
     gate_evals: u64,
     invocations: u64,
     dropped: u64,
-    events_skipped: u64,
     partitions: u64,
     part_total_ns: u64,
     part_max_ns: u64,
@@ -85,7 +79,6 @@ impl Pending {
             gate_evals: GATE_EVALS.with(|c| c.replace(0)),
             invocations: INVOCATIONS.with(|c| c.replace(0)),
             dropped: DROPPED.with(|c| c.replace(0)),
-            events_skipped: EVENTS_SKIPPED.with(|c| c.replace(0)),
             partitions: PART_COUNT.with(|c| c.replace(0)),
             part_total_ns: PART_TOTAL_NS.with(|c| c.replace(0)),
             part_max_ns: PART_MAX_NS.with(|c| c.replace(0)),
@@ -96,11 +89,7 @@ impl Pending {
     }
 
     fn is_empty(&self) -> bool {
-        self.gate_evals == 0
-            && self.invocations == 0
-            && self.dropped == 0
-            && self.events_skipped == 0
-            && self.partitions == 0
+        self.gate_evals == 0 && self.invocations == 0 && self.dropped == 0 && self.partitions == 0
     }
 }
 
@@ -120,13 +109,6 @@ pub fn add_invocation() {
 #[inline]
 pub fn add_dropped(n: u64) {
     DROPPED.with(|c| c.set(c.get().wrapping_add(n)));
-}
-
-/// Adds `n` skipped gate evaluations (event-driven savings) to this
-/// thread's pending counts.
-#[inline]
-pub fn add_events_skipped(n: u64) {
-    EVENTS_SKIPPED.with(|c| c.set(c.get().wrapping_add(n)));
 }
 
 /// Records one parallel partition's wall time in this thread's pending
@@ -256,9 +238,6 @@ impl StatsHandle {
         if p.dropped > 0 {
             m.counter(&name("faults_dropped")).add(p.dropped);
         }
-        if p.events_skipped > 0 {
-            m.counter(&name("events_skipped")).add(p.events_skipped);
-        }
         if p.partitions > 0 {
             m.counter(&name("partitions")).add(p.partitions);
             m.counter(&name("partition_wall_total_ns"))
@@ -344,7 +323,6 @@ impl StatsHandle {
                 "gate_evals" => entry.gate_evals = *value,
                 "fsim_invocations" => entry.fsim_invocations = *value,
                 "faults_dropped" => entry.faults_dropped = *value,
-                "events_skipped" => entry.events_skipped = *value,
                 "wall_ns" => entry.wall = Duration::from_nanos(*value),
                 "partitions" => entry.partitions = *value,
                 "partition_wall_total_ns" => {
@@ -512,8 +490,9 @@ pub struct PhaseStats {
     pub fsim_invocations: u64,
     /// Faults dropped after detection.
     pub faults_dropped: u64,
-    /// Gate evaluations an event-driven pass avoided (gates outside the
-    /// propagated cone that a full levelized pass would have computed).
+    /// Always 0: every simulation pass is a full levelized pass, so no
+    /// gate evaluation is ever skipped. Kept because the `--sim-json`
+    /// schema and the benchmark's per-layer metrics carry the field.
     pub events_skipped: u64,
     /// Wall time attributed to the phase.
     pub wall: Duration,
@@ -532,8 +511,7 @@ pub struct PhaseStats {
 
 impl PhaseStats {
     /// Gate evaluations per second of phase wall time (0.0 when no wall
-    /// time was recorded). The headline throughput figure for comparing
-    /// the legacy, compiled, and event-driven kernels.
+    /// time was recorded). The headline kernel throughput figure.
     pub fn gate_evals_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs > 0.0 {
@@ -575,7 +553,6 @@ impl SimReport {
             t.gate_evals += s.gate_evals;
             t.fsim_invocations += s.fsim_invocations;
             t.faults_dropped += s.faults_dropped;
-            t.events_skipped += s.events_skipped;
             t.wall += s.wall;
             t.partitions += s.partitions;
             t.partition_wall_total += s.partition_wall_total;
@@ -631,12 +608,11 @@ impl fmt::Display for SimReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{:<18} {:>14} {:>8} {:>9} {:>14} {:>11} {:>10} {:>6} {:>10} {:>10} {:>10} {:>6}",
+            "{:<18} {:>14} {:>8} {:>9} {:>11} {:>10} {:>6} {:>10} {:>10} {:>10} {:>6}",
             "phase",
             "gate evals",
             "fsims",
             "dropped",
-            "evts skipped",
             "evals/s",
             "wall",
             "parts",
@@ -648,12 +624,11 @@ impl fmt::Display for SimReport {
         for (name, s) in &self.phases {
             writeln!(
                 f,
-                "{:<18} {:>14} {:>8} {:>9} {:>14} {:>11.3e} {:>10.2?} {:>6} {:>10.2?} {:>10.2?} {:>10.2?} {:>6.2}",
+                "{:<18} {:>14} {:>8} {:>9} {:>11.3e} {:>10.2?} {:>6} {:>10.2?} {:>10.2?} {:>10.2?} {:>6.2}",
                 name,
                 s.gate_evals,
                 s.fsim_invocations,
                 s.faults_dropped,
-                s.events_skipped,
                 s.gate_evals_per_sec(),
                 s.wall,
                 s.partitions,
@@ -666,12 +641,11 @@ impl fmt::Display for SimReport {
         let t = self.totals();
         writeln!(
             f,
-            "{:<18} {:>14} {:>8} {:>9} {:>14} {:>11.3e} {:>10.2?} {:>6} {:>10.2?} {:>10.2?} {:>10.2?} {:>6.2}",
+            "{:<18} {:>14} {:>8} {:>9} {:>11.3e} {:>10.2?} {:>6} {:>10.2?} {:>10.2?} {:>10.2?} {:>6.2}",
             "total",
             t.gate_evals,
             t.fsim_invocations,
             t.faults_dropped,
-            t.events_skipped,
             t.gate_evals_per_sec(),
             t.wall,
             t.partitions,
@@ -699,7 +673,6 @@ mod tests {
         add_dropped(3);
         set_phase("beta");
         add_gate_evals(5);
-        add_events_skipped(7);
         let r = scope.report();
         let alpha = &r.phases.iter().find(|(n, _)| n == "alpha").unwrap().1;
         assert_eq!(alpha.gate_evals, 10);
@@ -707,11 +680,10 @@ mod tests {
         assert_eq!(alpha.faults_dropped, 3);
         let beta = &r.phases.iter().find(|(n, _)| n == "beta").unwrap().1;
         assert_eq!(beta.gate_evals, 5);
-        assert_eq!(beta.events_skipped, 7);
+        assert_eq!(beta.events_skipped, 0);
         assert!(beta.gate_evals_per_sec() > 0.0, "beta has wall time");
         let t = r.totals();
         assert_eq!(t.gate_evals, 15);
-        assert_eq!(t.events_skipped, 7);
     }
 
     #[test]

@@ -24,7 +24,8 @@ use atspeed_circuit::{NetId, Netlist};
 
 use crate::comb::Overrides;
 use crate::fault::{Fault, FaultSite};
-use crate::kernel::{CompiledSim, SimScratch};
+use crate::fsim_seq::seed_sources;
+use crate::kernel::CompiledSim;
 use crate::logic::{V3, W3};
 use crate::vectors::{Sequence, State};
 
@@ -69,15 +70,14 @@ pub fn all_transition_faults(nl: &Netlist) -> Vec<TransitionFault> {
 
 /// Parallel-fault transition-delay fault simulator for scan tests.
 ///
-/// Runs over the compiled kernel: the fault-free machine advances
-/// event-driven between cycles, while the faulty machine takes a full
-/// compiled pass each cycle (the armed-fault override set changes every
-/// cycle, which invalidates the delta path's fixed-override premise).
+/// Runs over the compiled kernel: each cycle takes one full pass of the
+/// fault-free machine and one of the faulty machine under that cycle's
+/// armed-fault overrides.
 #[derive(Debug)]
 pub struct TransitionFaultSim<'a> {
     nl: &'a Netlist,
-    good: SimScratch,
-    faulty: SimScratch,
+    good: Vec<W3>,
+    faulty: Vec<W3>,
     ov: Overrides,
 }
 
@@ -87,8 +87,8 @@ impl<'a> TransitionFaultSim<'a> {
         let cc = nl.compiled();
         TransitionFaultSim {
             nl,
-            good: SimScratch::new(cc),
-            faulty: SimScratch::new(cc),
+            good: vec![W3::ALL_X; cc.num_nets()],
+            faulty: vec![W3::ALL_X; cc.num_nets()],
             ov: Overrides::new(nl),
         }
     }
@@ -171,20 +171,9 @@ impl<'a> TransitionFaultSim<'a> {
 
         for t in 0..seq.len() {
             let vec = seq.vector(t);
-            // Fault-free evaluation of cycle t (slot 0 view). The good
-            // machine has no overrides, so after a full first-cycle pass it
-            // can advance event-driven on the changed sources alone.
-            for (i, &pi) in cc.pis().iter().enumerate() {
-                self.good.set_source(pi, W3::broadcast(vec[i]));
-            }
-            for (f, &q) in cc.ff_qs().iter().enumerate() {
-                self.good.set_source(q, good_state[f]);
-            }
-            if t == 0 {
-                sim.eval(&mut self.good);
-            } else {
-                sim.eval_delta(&mut self.good);
-            }
+            // Fault-free evaluation of cycle t (slot 0 view).
+            seed_sources(cc, &mut self.good, vec, &good_state);
+            sim.eval_slice(&mut self.good);
 
             // Arm faults whose site transitions in the fault direction
             // between t-1 and t (launch at t-1, capture at t).
@@ -193,7 +182,7 @@ impl<'a> TransitionFaultSim<'a> {
             if t >= 1 {
                 for (k, f) in chunk.iter().enumerate() {
                     let before = prev_good[f.net.index()];
-                    let now = self.good.value(f.net).get(0);
+                    let now = self.good[f.net.index()].get(0);
                     let launches = match (before, now) {
                         (V3::Zero, V3::One) => f.rising,
                         (V3::One, V3::Zero) => !f.rising,
@@ -211,21 +200,15 @@ impl<'a> TransitionFaultSim<'a> {
 
             // Faulty evaluation of cycle t with armed faults injected;
             // previously latched corruption keeps propagating through the
-            // per-slot flip-flop state. The armed override set changes every
-            // cycle, so this machine always takes a full pass.
-            for (i, &pi) in cc.pis().iter().enumerate() {
-                self.faulty.set_untracked(pi, W3::broadcast(vec[i]));
-            }
-            for (f, &q) in cc.ff_qs().iter().enumerate() {
-                self.faulty.set_untracked(q, faulty_state[f]);
-            }
-            sim.eval_with(&mut self.faulty, &self.ov);
+            // per-slot flip-flop state.
+            seed_sources(cc, &mut self.faulty, vec, &faulty_state);
+            sim.eval_with_slice(&mut self.faulty, &self.ov);
 
             // Observe primary outputs.
             let mut diff = 0u64;
             for &po in cc.pos() {
-                let w = self.faulty.value(po);
-                match self.good.value(po).get(0) {
+                let w = self.faulty[po.index()];
+                match self.good[po.index()].get(0) {
                     V3::One => diff |= w.zero,
                     V3::Zero => diff |= w.one,
                     V3::X => {}
@@ -237,8 +220,8 @@ impl<'a> TransitionFaultSim<'a> {
             // fault effects forward (a late transition corrupts the
             // captured value permanently).
             for (f, &d) in cc.ff_ds().iter().enumerate() {
-                good_state[f] = self.good.value(d);
-                faulty_state[f] = self.faulty.value(d);
+                good_state[f] = self.good[d.index()];
+                faulty_state[f] = self.faulty[d.index()];
             }
 
             // Scan-out observation at the last cycle.
@@ -256,7 +239,7 @@ impl<'a> TransitionFaultSim<'a> {
             }
 
             for net in nl.net_ids() {
-                prev_good[net.index()] = self.good.value(net).get(0);
+                prev_good[net.index()] = self.good[net.index()].get(0);
             }
             if caught == active {
                 break;

@@ -7,21 +7,18 @@
 //! workspace supports:
 //!
 //! 1. **logic** — the legacy [`CombSim`] walker against the compiled CSR
-//!    kernel ([`CompiledSim`]) on the full-pass, fault-override, and
-//!    event-driven delta paths, over random 3-valued inputs;
-//!    and **logic-wide / logic-fused** — the wide (`W3x4`) compiled
-//!    kernel lane-by-lane against the scalar one, and the cone-fused
-//!    kernel ([`FusedSim`], scalar and wide) against the scalar compiled
-//!    kernel on the nets the fused contract keeps live, on the same three
-//!    paths; both also validate the dual-rail invariant explicitly (the
-//!    kernels' own checks are `debug_assert`s, compiled out of release
-//!    fuzzing binaries);
+//!    kernel ([`CompiledSim`]) on the fault-free and fault-override full
+//!    passes, over random 3-valued inputs;
 //! 2. **comb-detect / matrix** — the serial PPSFP engine against the
 //!    test-sharded (fault-dropping) parallel front end, plus the
 //!    fault-sharded detection matrix against the detection bitmap
 //!    ([`ParallelFsim::check_matrix_consistency`]);
 //! 3. **seq-detect** — serial sequential fault simulation against the
 //!    fault-sharded parallel front end at each requested thread count;
+//!    and **seq-reference** — [`SeqFaultSim::detect`] and
+//!    [`SeqFaultSim::profiles`] against [`seq_reference`], which simulates
+//!    one fault at a time with the legacy [`CombSim`] walker cycle by
+//!    cycle, a good and a faulty machine in separate value arrays;
 //! 4. **omission** — the serial Phase-2 vector-omission sweep against the
 //!    speculative parallel sweep
 //!    ([`check_omission_differential`](atspeed_atpg::compact::check_omission_differential)).
@@ -34,11 +31,11 @@ use std::path::PathBuf;
 
 use atspeed_atpg::compact::{check_omission_differential, OmissionConfig};
 use atspeed_circuit::synth::{generate, SynthSpec};
-use atspeed_circuit::{NetId, Netlist};
+use atspeed_circuit::{FfId, Netlist, PoId};
 use atspeed_sim::fault::{FaultId, FaultUniverse};
 use atspeed_sim::{
-    CombFaultSim, CombSim, CombTest, CompiledSim, FusedSim, Overrides, ParallelFsim, SeqFaultSim,
-    Sequence, SimConfig, SimScratch, State, W3x4, LANES, V3, W3,
+    CombFaultSim, CombSim, CombTest, CompiledSim, DetectionProfile, Overrides, ParallelFsim,
+    SeqFaultSim, Sequence, SimConfig, State, V3, W3,
 };
 
 /// Salt so stimuli derivation is independent of how many random draws the
@@ -99,11 +96,10 @@ impl Case {
 /// A disagreement between two engine implementations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// Which differential check failed (`logic`, `logic-wide`,
-    /// `logic-fused`, `comb-detect`, `matrix`, `seq-detect`, `omission`,
-    /// or `synth` when generation itself errors). For the engine-variant
-    /// checks the name records which kernel diverged — it is written into
-    /// the repro bundle's `case.txt`.
+    /// Which differential check failed (`logic`, `comb-detect`, `matrix`,
+    /// `seq-detect`, `seq-reference`, `omission`, or `synth` when
+    /// generation itself errors). It is written into the repro bundle's
+    /// `case.txt`.
     pub check: &'static str,
     /// Human-readable description of the first disagreement found.
     pub detail: String,
@@ -150,16 +146,6 @@ fn random_w3(next: &mut impl FnMut() -> u64) -> W3 {
     }
 }
 
-/// A random wide word: every lane an independent random [`W3`] (so the
-/// wide checks see X-heavy, lane-diverse data).
-fn random_w3x4(next: &mut impl FnMut() -> u64) -> W3x4 {
-    let mut w = W3x4::ALL_X;
-    for l in 0..LANES {
-        w.set_lane(l, random_w3(next));
-    }
-    w
-}
-
 /// A random scalar value: X with probability 1/16, else a fair bit.
 fn random_v3(next: &mut impl FnMut() -> u64) -> V3 {
     let r = next();
@@ -204,296 +190,179 @@ fn random_overrides(nl: &Netlist, u: &FaultUniverse, next: &mut impl FnMut() -> 
     ov
 }
 
-/// Legacy walker vs compiled kernel on full, override, and delta paths.
+/// Legacy walker vs compiled kernel on the fault-free and override passes.
 fn check_logic(
     nl: &Netlist,
     u: &FaultUniverse,
     next: &mut impl FnMut() -> u64,
 ) -> Result<usize, Divergence> {
-    let cc = nl.compiled();
-    let sim = CompiledSim::new(cc);
-    let mut scratch = SimScratch::new(cc);
+    let sim = CompiledSim::new(nl.compiled());
     let mut legacy = CombSim::new(nl);
-    let mut vals = vec![W3::ALL_X; nl.num_nets()];
+    let mut slow = vec![W3::ALL_X; nl.num_nets()];
+    let mut fast = vec![W3::ALL_X; nl.num_nets()];
     let ov = random_overrides(nl, u, next);
 
-    let seed_both = |vals: &mut [W3], scratch: &mut SimScratch, next: &mut dyn FnMut() -> u64| {
-        for &pi in nl.pis() {
-            let w = random_w3(&mut || next());
-            vals[pi.index()] = w;
-            scratch.set_source(pi, w);
-        }
-        for ff in nl.ffs() {
-            let w = random_w3(&mut || next());
-            vals[ff.q().index()] = w;
-            scratch.set_source(ff.q(), w);
-        }
-    };
-    let compare = |vals: &[W3], scratch: &SimScratch, path: &str| -> Result<(), Divergence> {
-        for net in nl.net_ids() {
-            if scratch.value(net) != vals[net.index()] {
-                return Err(Divergence {
-                    check: "logic",
-                    detail: format!(
-                        "{path} pass: net `{}` compiled {:?} vs legacy {:?}",
-                        nl.net_name(net),
-                        scratch.value(net),
-                        vals[net.index()],
-                    ),
-                });
-            }
-        }
-        Ok(())
-    };
-
     let mut checks = 0;
-    for _ in 0..3 {
-        seed_both(&mut vals, &mut scratch, next);
-        legacy.eval(&mut vals);
-        sim.eval(&mut scratch);
-        compare(&vals, &scratch, "full")?;
-        checks += 1;
-    }
-    seed_both(&mut vals, &mut scratch, next);
-    legacy.eval_with(&mut vals, &ov);
-    sim.eval_with(&mut scratch, &ov);
-    compare(&vals, &scratch, "override")?;
-    checks += 1;
-    for _ in 0..3 {
-        // Reseed a random subset of sources and take the delta path.
-        for &pi in nl.pis() {
-            if next() & 1 == 0 {
-                let w = random_w3(next);
-                vals[pi.index()] = w;
-                scratch.set_source(pi, w);
-            }
+    for round in 0..4 {
+        for net in nl
+            .pis()
+            .iter()
+            .copied()
+            .chain(nl.ffs().iter().map(|ff| ff.q()))
+        {
+            let w = random_w3(next);
+            slow[net.index()] = w;
+            fast[net.index()] = w;
         }
-        for ff in nl.ffs() {
-            if next() & 1 == 0 {
-                let w = random_w3(next);
-                vals[ff.q().index()] = w;
-                scratch.set_source(ff.q(), w);
-            }
-        }
-        legacy.eval_with(&mut vals, &ov);
-        sim.eval_delta_with(&mut scratch, &ov);
-        compare(&vals, &scratch, "delta")?;
-        checks += 1;
-    }
-    Ok(checks)
-}
-
-/// Wide (`W3x4`) compiled kernel vs the scalar compiled kernel, lane by
-/// lane, on the full, override, and delta paths. Every net is compared
-/// (the compiled kernel stores all of them at both widths), and the
-/// dual-rail invariant is validated explicitly after each wide pass.
-fn check_logic_wide(
-    nl: &Netlist,
-    u: &FaultUniverse,
-    next: &mut impl FnMut() -> u64,
-) -> Result<usize, Divergence> {
-    let cc = nl.compiled();
-    let sim = CompiledSim::new(cc);
-    let ov = random_overrides(nl, u, next);
-    let mut wide = SimScratch::new_wide(cc);
-    let mut checks = 0;
-
-    // Two full/delta pairs: fault-free, then with overrides (each delta
-    // follows a full pass of the same width and override set).
-    for (pair, faulty) in [false, true].into_iter().enumerate() {
-        for delta in [false, true] {
-            for &pi in nl.pis() {
-                if !delta || next() & 1 == 0 {
-                    wide.set_source_wide(pi, random_w3x4(next));
-                }
-            }
-            for ff in nl.ffs() {
-                if !delta || next() & 1 == 0 {
-                    wide.set_source_wide(ff.q(), random_w3x4(next));
-                }
-            }
-            match (delta, faulty) {
-                (false, false) => sim.eval_wide(&mut wide),
-                (false, true) => sim.eval_with_wide(&mut wide, &ov),
-                (true, false) => sim.eval_delta_wide(&mut wide),
-                (true, true) => sim.eval_delta_with_wide(&mut wide, &ov),
-            }
-            if let Some(net) = wide.check_dual_rail() {
-                return Err(Divergence {
-                    check: "logic-wide",
-                    detail: format!(
-                        "pair {pair} delta {delta}: net `{}` violates zero & one == 0",
-                        nl.net_name(net)
-                    ),
-                });
-            }
-            for l in 0..LANES {
-                let mut scalar = SimScratch::new(cc);
-                for &pi in nl.pis() {
-                    scalar.set_source(pi, wide.value_wide(pi).lane(l));
-                }
-                for ff in nl.ffs() {
-                    scalar.set_source(ff.q(), wide.value_wide(ff.q()).lane(l));
-                }
-                if faulty {
-                    sim.eval_with(&mut scalar, &ov);
-                } else {
-                    sim.eval(&mut scalar);
-                }
-                for net in nl.net_ids() {
-                    if wide.value_wide(net).lane(l) != scalar.value(net) {
-                        return Err(Divergence {
-                            check: "logic-wide",
-                            detail: format!(
-                                "pair {pair} delta {delta} lane {l}: net `{}` wide {:?} vs \
-                                 scalar {:?}",
-                                nl.net_name(net),
-                                wide.value_wide(net).lane(l),
-                                scalar.value(net),
-                            ),
-                        });
-                    }
-                }
-            }
-            checks += 1;
-        }
-    }
-    Ok(checks)
-}
-
-/// Cone-fused kernel ([`FusedSim`], scalar and wide) vs the scalar
-/// compiled kernel on the nets the fused validity contract keeps live
-/// (sources and unit roots — which include every observed net), on the
-/// full, override, and delta paths, with an explicit dual-rail check.
-fn check_logic_fused(
-    nl: &Netlist,
-    u: &FaultUniverse,
-    next: &mut impl FnMut() -> u64,
-) -> Result<usize, Divergence> {
-    let cc = nl.compiled();
-    let fc = nl.fused();
-    let mut fsim = FusedSim::new(cc, fc);
-    let sim = CompiledSim::new(cc);
-    let ov = random_overrides(nl, u, next);
-    let mut live: Vec<NetId> = nl.pis().to_vec();
-    live.extend(nl.ffs().iter().map(|ff| ff.q()));
-    live.extend((0..fc.num_units()).map(|un| fc.root_net(un)));
-    let mut checks = 0;
-
-    // Scalar fused vs scalar compiled: full/delta, fault-free then faulty.
-    let mut fast = SimScratch::new(cc);
-    for (pair, faulty) in [false, true].into_iter().enumerate() {
-        for delta in [false, true] {
-            for &pi in nl.pis() {
-                if !delta || next() & 1 == 0 {
-                    fast.set_source(pi, random_w3(next));
-                }
-            }
-            for ff in nl.ffs() {
-                if !delta || next() & 1 == 0 {
-                    fast.set_source(ff.q(), random_w3(next));
-                }
-            }
-            match (delta, faulty) {
-                (false, false) => fsim.eval(&mut fast),
-                (false, true) => fsim.eval_with(&mut fast, &ov),
-                (true, false) => fsim.eval_delta(&mut fast),
-                (true, true) => fsim.eval_delta_with(&mut fast, &ov),
-            }
-            if let Some(net) = fast.check_dual_rail() {
-                return Err(Divergence {
-                    check: "logic-fused",
-                    detail: format!(
-                        "scalar pair {pair} delta {delta}: net `{}` violates zero & one == 0",
-                        nl.net_name(net)
-                    ),
-                });
-            }
-            let mut reference = SimScratch::new(cc);
-            for &pi in nl.pis() {
-                reference.set_source(pi, fast.value(pi));
-            }
-            for ff in nl.ffs() {
-                reference.set_source(ff.q(), fast.value(ff.q()));
-            }
-            if faulty {
-                sim.eval_with(&mut reference, &ov);
-            } else {
-                sim.eval(&mut reference);
-            }
-            for &net in &live {
-                if fast.value(net) != reference.value(net) {
-                    return Err(Divergence {
-                        check: "logic-fused",
-                        detail: format!(
-                            "scalar pair {pair} delta {delta}: net `{}` fused {:?} vs \
-                             compiled {:?}",
-                            nl.net_name(net),
-                            fast.value(net),
-                            reference.value(net),
-                        ),
-                    });
-                }
-            }
-            checks += 1;
-        }
-    }
-
-    // Wide fused vs scalar compiled, lane by lane: full passes, fault-free
-    // then faulty.
-    let mut wide = SimScratch::new_wide(cc);
-    for faulty in [false, true] {
-        for &pi in nl.pis() {
-            wide.set_source_wide(pi, random_w3x4(next));
-        }
-        for ff in nl.ffs() {
-            wide.set_source_wide(ff.q(), random_w3x4(next));
-        }
-        if faulty {
-            fsim.eval_with_wide(&mut wide, &ov);
+        // Three fault-free rounds, then one under the override set.
+        let path = if round < 3 {
+            legacy.eval(&mut slow);
+            sim.eval_slice(&mut fast);
+            "full"
         } else {
-            fsim.eval_wide(&mut wide);
-        }
-        if let Some(net) = wide.check_dual_rail() {
+            legacy.eval_with(&mut slow, &ov);
+            sim.eval_with_slice(&mut fast, &ov);
+            "override"
+        };
+        if let Some(net) = nl.net_ids().find(|n| fast[n.index()] != slow[n.index()]) {
             return Err(Divergence {
-                check: "logic-fused",
+                check: "logic",
                 detail: format!(
-                    "wide faulty {faulty}: net `{}` violates zero & one == 0",
-                    nl.net_name(net)
+                    "{path} pass: net `{}` compiled {:?} vs legacy {:?}",
+                    nl.net_name(net),
+                    fast[net.index()],
+                    slow[net.index()],
                 ),
             });
         }
-        for l in 0..LANES {
-            let mut scalar = SimScratch::new(cc);
-            for &pi in nl.pis() {
-                scalar.set_source(pi, wide.value_wide(pi).lane(l));
-            }
-            for ff in nl.ffs() {
-                scalar.set_source(ff.q(), wide.value_wide(ff.q()).lane(l));
-            }
-            if faulty {
-                sim.eval_with(&mut scalar, &ov);
-            } else {
-                sim.eval(&mut scalar);
-            }
-            for &net in &live {
-                if wide.value_wide(net).lane(l) != scalar.value(net) {
-                    return Err(Divergence {
-                        check: "logic-fused",
-                        detail: format!(
-                            "wide faulty {faulty} lane {l}: net `{}` fused {:?} vs \
-                             compiled {:?}",
-                            nl.net_name(net),
-                            wide.value_wide(net).lane(l),
-                            scalar.value(net),
-                        ),
-                    });
-                }
-            }
-        }
         checks += 1;
     }
     Ok(checks)
+}
+
+/// Whether `faulty` differs observably from `good` in slot 0 (both binary
+/// and opposite).
+fn differs(good: W3, faulty: W3) -> bool {
+    matches!(
+        (good.get(0), faulty.get(0)),
+        (V3::Zero, V3::One) | (V3::One, V3::Zero)
+    )
+}
+
+/// One-fault-at-a-time sequential reference: for each fault, a good and a
+/// faulty machine run cycle by cycle through the legacy [`CombSim`]
+/// walker, each in its own value array, and only slot 0 is read.
+///
+/// Returns, per fault, whether `(init, seq)` with a final full scan-out
+/// detects it (the [`SeqFaultSim::detect`] predicate with
+/// `observe_final_state`), and its [`DetectionProfile`] as
+/// [`SeqFaultSim::profiles`] defines it: the first cycle a primary output
+/// detects the fault, and every earlier-or-equal cycle whose captured state
+/// differs while no primary output has detected it yet.
+pub fn seq_reference(
+    nl: &Netlist,
+    u: &FaultUniverse,
+    init: &State,
+    seq: &Sequence,
+    faults: &[FaultId],
+) -> (Vec<bool>, Vec<DetectionProfile>) {
+    let mut sim = CombSim::new(nl);
+    let mut ov = Overrides::new(nl);
+    let mut good = vec![W3::ALL_X; nl.num_nets()];
+    let mut bad = vec![W3::ALL_X; nl.num_nets()];
+    let mut detected = Vec::with_capacity(faults.len());
+    let mut profiles = Vec::with_capacity(faults.len());
+    for &fid in faults {
+        ov.clear();
+        ov.add(u.fault(fid), u64::MAX);
+        let mut good_state: Vec<W3> = init.iter().map(|&v| W3::broadcast(v)).collect();
+        let mut bad_state = good_state.clone();
+        let mut profile = DetectionProfile::default();
+        let mut state_differs = false;
+        for t in 0..seq.len() {
+            let vector = seq.vector(t);
+            for (vals, state) in [(&mut good, &good_state), (&mut bad, &bad_state)] {
+                for (&pi, &v) in nl.pis().iter().zip(vector) {
+                    vals[pi.index()] = W3::broadcast(v);
+                }
+                for (ff, &w) in nl.ffs().iter().zip(state) {
+                    vals[ff.q().index()] = w;
+                }
+            }
+            sim.eval(&mut good);
+            sim.eval_with(&mut bad, &ov);
+            let po_hit = nl.pos().iter().enumerate().any(|(k, &po)| {
+                differs(
+                    good[po.index()],
+                    ov.apply_po_pin(PoId::from_index(k), bad[po.index()]),
+                )
+            });
+            if po_hit && profile.po_detect.is_none() {
+                profile.po_detect = Some(t as u32);
+            }
+            for (f, ff) in nl.ffs().iter().enumerate() {
+                good_state[f] = good[ff.d().index()];
+                bad_state[f] = ov.apply_ff_pin(FfId::from_index(f), bad[ff.d().index()]);
+            }
+            state_differs = good_state
+                .iter()
+                .zip(&bad_state)
+                .any(|(&g, &b)| differs(g, b));
+            if state_differs && profile.po_detect.is_none() {
+                if profile.state_diff.len() <= t / 64 {
+                    profile.state_diff.resize(t / 64 + 1, 0);
+                }
+                profile.state_diff[t / 64] |= 1 << (t % 64);
+            }
+        }
+        detected.push(profile.po_detect.is_some() || state_differs);
+        profiles.push(profile);
+    }
+    (detected, profiles)
+}
+
+/// [`SeqFaultSim::detect`] (with a final scan-out) and
+/// [`SeqFaultSim::profiles`] against [`seq_reference`] on every fault.
+///
+/// # Errors
+///
+/// Returns a `seq-reference` [`Divergence`] naming the first fault whose
+/// verdict or profile differs.
+pub fn check_seq_reference(
+    nl: &Netlist,
+    u: &FaultUniverse,
+    init: &State,
+    seq: &Sequence,
+    faults: &[FaultId],
+) -> Result<usize, Divergence> {
+    let (want_det, want_prof) = seq_reference(nl, u, init, seq, faults);
+    let mut fsim = SeqFaultSim::new(nl);
+    let det = fsim.detect(init, seq, faults, u, true);
+    let prof = fsim.profiles(init, seq, faults, u);
+    let diverged = |what: &str, i: usize, engine: String, reference: String| Divergence {
+        check: "seq-reference",
+        detail: format!(
+            "{what} of fault {:?} (index {i}): engine {engine} vs reference {reference}",
+            faults[i]
+        ),
+    };
+    if let Some(i) = (0..faults.len()).find(|&i| det[i] != want_det[i]) {
+        return Err(diverged(
+            "detect",
+            i,
+            det[i].to_string(),
+            want_det[i].to_string(),
+        ));
+    }
+    if let Some(i) = (0..faults.len()).find(|&i| prof[i] != want_prof[i]) {
+        return Err(diverged(
+            "profile",
+            i,
+            format!("{:?}", prof[i]),
+            format!("{:?}", want_prof[i]),
+        ));
+    }
+    Ok(2)
 }
 
 fn first_mismatch(a: &[bool], b: &[bool], faults: &[FaultId]) -> String {
@@ -526,8 +395,6 @@ pub fn run_case(case: &Case, threads: &[usize]) -> Result<CaseReport, Divergence
     };
 
     report.checks += check_logic(&nl, &u, &mut next)?;
-    report.checks += check_logic_wide(&nl, &u, &mut next)?;
-    report.checks += check_logic_fused(&nl, &u, &mut next)?;
 
     let faults = sample_faults(&u, case.fault_cap);
     report.faults = faults.len();
@@ -582,6 +449,7 @@ pub fn run_case(case: &Case, threads: &[usize]) -> Result<CaseReport, Divergence
         }
         report.checks += 1;
     }
+    report.checks += check_seq_reference(&nl, &u, &init, &seq, &faults)?;
 
     // Vector omission: serial sweep vs speculative parallel sweeps, on the
     // faults this sequence actually detects.
@@ -860,7 +728,10 @@ mod tests {
     fn run_case_reports_work() {
         let case = Case::from_iteration(1, 0);
         let rep = run_case(&case, &[2]).expect("engines agree");
-        assert!(rep.checks >= 9, "logic(7) + comb(2) at least: {rep:?}");
+        assert!(
+            rep.checks >= 9,
+            "logic(4) + comb(2) + seq-detect(1) + seq-reference(2) at least: {rep:?}"
+        );
         assert!(rep.faults > 0);
         assert!(rep.nets > 0);
     }

@@ -11,8 +11,8 @@
 //!   as `key = value` lines.
 //!
 //! [`load_repro`] parses the bundle back (rejecting malformed vector files
-//! through [`try_parse_values`]) and [`replay`] re-runs the serial-vs-
-//! parallel differentials on the loaded artifacts.
+//! through [`try_parse_values`]) and [`replay`] re-runs the sequential
+//! differentials on the loaded artifacts.
 
 use std::fs;
 use std::io;
@@ -25,7 +25,7 @@ use atspeed_sim::{
     try_parse_values, ParallelFsim, ParseError, SeqFaultSim, Sequence, SimConfig, State,
 };
 
-use crate::fuzz::{case_stimuli, Case, Divergence};
+use crate::fuzz::{case_stimuli, check_seq_reference, Case, Divergence};
 
 /// Why a bundle failed to dump or load.
 #[derive(Debug)]
@@ -219,9 +219,10 @@ pub struct ReplayReport {
     pub omission_checked: bool,
 }
 
-/// Re-runs the serial-vs-parallel differentials on a loaded bundle: the
-/// sequential detection comparison at each thread count, then the vector
-/// omission differential on the detected faults.
+/// Re-runs the sequential differentials on a loaded bundle: the
+/// serial-vs-parallel detection comparison at each thread count, the
+/// one-fault-at-a-time reference check, then the vector omission
+/// differential on the detected faults.
 ///
 /// # Errors
 ///
@@ -249,6 +250,7 @@ pub fn replay(bundle: &ReproBundle, threads: &[usize]) -> Result<ReplayReport, D
             });
         }
     }
+    check_seq_reference(nl, &u, &bundle.init, &bundle.seq, &faults)?;
     let targets: Vec<FaultId> = faults
         .iter()
         .zip(&serial)

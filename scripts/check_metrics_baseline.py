@@ -18,13 +18,6 @@ current value exceeds `baseline * (1 + max_regression)` — but only when
 the baseline records them (> 0), so `tables` baselines without a stress
 run are unaffected. Remaining print-only fields (imbalance, totals) are
 reported for context but not gated, since they vary with machine load.
-
-With `--kernels target/kernels.json`, also gates the wide-kernel speedup:
-for every measured circuit, the `wide_fused` kernel's `gate_evals_per_sec`
-must be at least `--wide-multiple` (default 4.0) times the scalar
-`compiled` kernel's. Both numbers come from the same run's interleaved
-measurement windows, so the ratio is machine-load independent even though
-the absolute throughputs are not.
 """
 
 import argparse
@@ -42,114 +35,76 @@ def load(path):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("current", nargs="?",
-                    help="telemetry metrics JSON (omit for --kernels-only "
-                         "invocations)")
-    ap.add_argument("baseline", nargs="?")
+    ap.add_argument("current", help="telemetry metrics JSON")
+    ap.add_argument("baseline")
     ap.add_argument("--max-regression", type=float, default=0.25)
-    ap.add_argument("--kernels", metavar="KERNELS_JSON",
-                    help="per-kernel bench summary; gates wide_fused >= "
-                         "--wide-multiple x compiled per circuit")
-    ap.add_argument("--wide-multiple", type=float, default=4.0)
     args = ap.parse_args()
 
-    if args.current and not args.baseline:
-        ap.error("BASELINE is required when CURRENT is given")
-    if not args.current and not args.kernels:
-        ap.error("nothing to gate: pass CURRENT BASELINE and/or --kernels")
-
     failures = []
-    if args.current:
-        current = load(args.current)
-        baseline = load(args.baseline)
+    current = load(args.current)
+    baseline = load(args.baseline)
 
-        for key in ("counters", "gauges", "histograms", "derived"):
-            if key not in current or not isinstance(current[key], dict):
-                sys.exit(f"error: {args.current} is missing the `{key}` "
-                         f"object")
+    for key in ("counters", "gauges", "histograms", "derived"):
+        if key not in current or not isinstance(current[key], dict):
+            sys.exit(f"error: {args.current} is missing the `{key}` "
+                     f"object")
 
-        # gate_evals_per_sec is always gated; omission_attempts_per_sec
-        # only once the baseline records it (older baselines predate the
-        # metric).
-        gated = ["gate_evals_per_sec"]
-        if isinstance(baseline["derived"].get("omission_attempts_per_sec"),
-                      (int, float)) and \
-                baseline["derived"]["omission_attempts_per_sec"] > 0:
-            gated.append("omission_attempts_per_sec")
+    # gate_evals_per_sec is always gated; omission_attempts_per_sec
+    # only once the baseline records it (older baselines predate the
+    # metric).
+    gated = ["gate_evals_per_sec"]
+    if isinstance(baseline["derived"].get("omission_attempts_per_sec"),
+                  (int, float)) and \
+            baseline["derived"]["omission_attempts_per_sec"] > 0:
+        gated.append("omission_attempts_per_sec")
 
-        for metric in gated:
-            cur = current["derived"].get(metric)
-            base = baseline["derived"].get(metric)
-            if not isinstance(cur, (int, float)) or cur <= 0:
-                sys.exit(f"error: bad current {metric}: {cur!r}")
-            if not isinstance(base, (int, float)) or base <= 0:
-                sys.exit(f"error: bad baseline {metric}: {base!r}")
-            floor = base * (1.0 - args.max_regression)
-            ratio = cur / base
-            print(f"{metric}: current {cur:.0f}, baseline {base:.0f} "
-                  f"(ratio {ratio:.2f}, floor {floor:.0f})")
-            if cur < floor:
-                failures.append(f"{metric} regressed more than "
-                                f"{args.max_regression:.0%} "
-                                f"(ratio {ratio:.2f})")
+    for metric in gated:
+        cur = current["derived"].get(metric)
+        base = baseline["derived"].get(metric)
+        if not isinstance(cur, (int, float)) or cur <= 0:
+            sys.exit(f"error: bad current {metric}: {cur!r}")
+        if not isinstance(base, (int, float)) or base <= 0:
+            sys.exit(f"error: bad baseline {metric}: {base!r}")
+        floor = base * (1.0 - args.max_regression)
+        ratio = cur / base
+        print(f"{metric}: current {cur:.0f}, baseline {base:.0f} "
+              f"(ratio {ratio:.2f}, floor {floor:.0f})")
+        if cur < floor:
+            failures.append(f"{metric} regressed more than "
+                            f"{args.max_regression:.0%} "
+                            f"(ratio {ratio:.2f})")
 
-        # Resource ceilings: lower is better, gated only once the baseline
-        # records them (tables baselines predate the stress metrics).
-        def lookup(doc, section, key):
-            value = doc.get(section, {}).get(key)
-            return value if isinstance(value, (int, float)) else None
+    # Resource ceilings: lower is better, gated only once the baseline
+    # records them (tables baselines predate the stress metrics).
+    def lookup(doc, section, key):
+        value = doc.get(section, {}).get(key)
+        return value if isinstance(value, (int, float)) else None
 
-        ceilings = [("derived", "peak_rss_bytes"),
-                    ("gauges", "stress/wall_us")]
-        for section, metric in ceilings:
-            base = lookup(baseline, section, metric)
-            if base is None or base <= 0:
-                continue
-            cur = lookup(current, section, metric)
-            if cur is None or cur <= 0:
-                sys.exit(f"error: bad current {section}.{metric}: {cur!r}")
-            ceiling = base * (1.0 + args.max_regression)
-            ratio = cur / base
-            print(f"{section}.{metric}: current {cur:.0f}, "
-                  f"baseline {base:.0f} "
-                  f"(ratio {ratio:.2f}, ceiling {ceiling:.0f})")
-            if cur > ceiling:
-                failures.append(f"{section}.{metric} grew more than "
-                                f"{args.max_regression:.0%} "
-                                f"(ratio {ratio:.2f})")
+    ceilings = [("derived", "peak_rss_bytes"),
+                ("gauges", "stress/wall_us")]
+    for section, metric in ceilings:
+        base = lookup(baseline, section, metric)
+        if base is None or base <= 0:
+            continue
+        cur = lookup(current, section, metric)
+        if cur is None or cur <= 0:
+            sys.exit(f"error: bad current {section}.{metric}: {cur!r}")
+        ceiling = base * (1.0 + args.max_regression)
+        ratio = cur / base
+        print(f"{section}.{metric}: current {cur:.0f}, "
+              f"baseline {base:.0f} "
+              f"(ratio {ratio:.2f}, ceiling {ceiling:.0f})")
+        if cur > ceiling:
+            failures.append(f"{section}.{metric} grew more than "
+                            f"{args.max_regression:.0%} "
+                            f"(ratio {ratio:.2f})")
 
-    # Wide-kernel speedup gate: a within-run throughput ratio, so it holds
-    # on loaded shared runners where absolute rates swing 2x.
-    if args.kernels:
-        kernels = load(args.kernels)
-        circuits = kernels.get("circuits")
-        if not isinstance(circuits, list) or not circuits:
-            sys.exit(f"error: {args.kernels} has no `circuits` array")
-        for circuit in circuits:
-            rates = {row.get("kernel"): row.get("gate_evals_per_sec")
-                     for row in circuit.get("kernels", [])}
-            name = circuit.get("name", "?")
-            for kernel in ("compiled", "wide_fused"):
-                if not isinstance(rates.get(kernel), (int, float)) \
-                        or rates[kernel] <= 0:
-                    sys.exit(f"error: {args.kernels}: circuit {name} has no "
-                             f"`{kernel}` rate")
-            ratio = rates["wide_fused"] / rates["compiled"]
-            print(f"kernels[{name}]: wide_fused {rates['wide_fused']:.0f} "
-                  f"/ compiled {rates['compiled']:.0f} = {ratio:.2f}x "
-                  f"(floor {args.wide_multiple:.2f}x)")
-            if ratio < args.wide_multiple:
-                failures.append(
-                    f"wide_fused kernel on {name} is only {ratio:.2f}x the "
-                    f"scalar compiled kernel (need {args.wide_multiple:.2f}x)")
-
-    if args.current:
-        for field in ("gate_evals_total", "wall_us_total",
-                      "partition_imbalance", "omission_attempts_total",
-                      "omission_wall_us"):
-            c = current["derived"].get(field)
-            b = baseline["derived"].get(field)
-            print(f"{field}: current {c}, baseline {b}")
+    for field in ("gate_evals_total", "wall_us_total",
+                  "partition_imbalance", "omission_attempts_total",
+                  "omission_wall_us"):
+        c = current["derived"].get(field)
+        b = baseline["derived"].get(field)
+        print(f"{field}: current {c}, baseline {b}")
 
     if failures:
         sys.exit("FAIL: " + "; ".join(failures))
